@@ -1,18 +1,38 @@
 #include "core/distributed/fusion_actors.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/distributed/shard_ops.h"
-#include "linalg/jacobi_eig.h"
 #include "support/check.h"
 #include "support/log.h"
 
 namespace rif::core {
 
 namespace {
+
 constexpr std::uint64_t kSmallMsgBytes = 32;
+
+distributed::CoordinatorParams coordinator_params(const FusionParams& params,
+                                                  const hsi::ImageCube* cube,
+                                                  const CostModel& model) {
+  distributed::CoordinatorParams cp;
+  cp.mode = params.mode;
+  cp.shape = params.shape;
+  cp.cube = cube;
+  cp.total_tiles = params.total_tiles;
+  cp.screening_threshold = params.screening_threshold;
+  cp.output_components = params.output_components;
+  cp.jacobi = params.jacobi;
+  // Saturating growth of the merged set; the remainder are duplicates.
+  cp.model_merge = [capacity = model.params().global_unique_size](
+                       double merged, double returned) {
+    const double room = std::max(0.0, 1.0 - merged / capacity);
+    return merged + returned * room;
+  };
+  return cp;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ManagerActor
@@ -22,234 +42,99 @@ ManagerActor::ManagerActor(FusionParams params, const hsi::ImageCube* cube,
                            JobOutcome* outcome,
                            std::function<void()> on_complete)
     : params_(std::move(params)),
-      cube_(cube),
       outcome_(outcome),
       on_complete_(std::move(on_complete)),
-      model_(params_.cost_model()) {
-  RIF_CHECK(outcome_ != nullptr);
-  if (params_.mode == ExecutionMode::kFull) {
-    RIF_CHECK_MSG(cube_ != nullptr, "Full mode requires a cube");
-    RIF_CHECK(cube_->width() == params_.shape.width &&
-              cube_->height() == params_.shape.height &&
-              cube_->bands() == params_.shape.bands);
-  }
-  RIF_CHECK(static_cast<int>(params_.worker_tids.size()) == params_.workers);
-}
-
-void ManagerActor::on_start(scp::ActorContext& /*ctx*/) {
-  tiles_ = hsi::partition_rows(params_.shape, params_.total_tiles);
-  if (params_.mode == ExecutionMode::kFull) {
-    global_unique_.emplace(params_.shape.bands, params_.screening_threshold);
-  }
-  if (params_.mode == ExecutionMode::kFull) {
-    outcome_->composite =
-        hsi::RgbImage(params_.shape.width, params_.shape.height);
-  }
-}
+      model_(params_.cost_model()),
+      coordinator_(coordinator_params(params_, cube, model_),
+                   std::vector<int>(params_.worker_tids.begin(),
+                                    params_.worker_tids.end()),
+                   *outcome_) {}
 
 void ManagerActor::on_message(scp::ActorContext& ctx, scp::ThreadId from,
                               const scp::Message& msg) {
+  const double now = to_seconds(ctx.now());
   switch (msg.type) {
     case kRequestWork:
-      on_request_work(ctx, from);
+      coordinator_.request_work(from, now);
+      dispatch(ctx, coordinator_.take_sends());
       break;
-    case kScreenResult:
-      on_screen_result(ctx, msg);
+    case kScreenResult: {
+      // Charge the tile-order merge this result unblocked; once the last
+      // tile folds in, charge the mean (step 3) before the shards go out.
+      double merge_charge = 0.0;
+      for (const auto& m : coordinator_.screen_result(from, msg, now)) {
+        merge_charge +=
+            params_.mode == ExecutionMode::kFull
+                ? static_cast<double>(m.comparisons) *
+                      model_.flops_per_comparison()
+                : model_.merge_flops(static_cast<double>(m.returned));
+      }
+      ctx.compute(merge_charge,
+                  [this, &ctx, shards = coordinator_.take_sends()]() mutable {
+                    if (shards.empty()) return;
+                    ctx.compute(model_.mean_flops(),
+                                [this, &ctx,
+                                 shards = std::move(shards)]() mutable {
+                                  dispatch(ctx, std::move(shards));
+                                });
+                  });
       break;
-    case kCovSum:
-      on_cov_sum(ctx, from, msg);
+    }
+    case kCovSum: {
+      coordinator_.cov_sum(from, msg, now);
+      auto transform = coordinator_.take_sends();
+      if (transform.empty()) break;
+      // Steps 5-6: average (charge) then eigen-decompose (charge + compute).
+      const double charge =
+          model_.cov_average_flops(params_.workers) + model_.eigen_flops();
+      ctx.compute(charge,
+                  [this, &ctx, transform = std::move(transform)]() mutable {
+                    dispatch(ctx, std::move(transform));
+                  });
       break;
+    }
     case kColorTile:
-      on_color_tile(ctx, msg);
+      coordinator_.color_tile(from, msg);
+      if (!coordinator_.done() || outcome_->completed) break;
+      outcome_->completed = true;
+      outcome_->completion_time = ctx.now();
+      RIF_LOG_INFO("fusion", "job complete at t=" << to_seconds(ctx.now())
+                                                  << "s");
+      ctx.finish();
+      if (on_complete_) {
+        // Service mode: the shared runtime outlives the job. The service's
+        // completion handler retires the job's (now quiescent) actors.
+        on_complete_();
+      } else {
+        ctx.shutdown_runtime();
+      }
       break;
     default:
       RIF_CHECK_MSG(false, "manager: unexpected message type");
   }
 }
 
-void ManagerActor::on_request_work(scp::ActorContext& ctx,
-                                   scp::ThreadId from) {
-  if (next_tile_ >= static_cast<int>(tiles_.size())) {
-    ctx.send(from, scp::Message{kNoMoreTiles, {}, kSmallMsgBytes});
-    return;
-  }
-  const hsi::Tile tile = tiles_[next_tile_++];
-  ++outcome_->tiles_distributed;
-
-  TileAssignMsg assign;
-  assign.tile = WireTile::from(tile);
-  if (params_.mode == ExecutionMode::kFull) {
-    assign.data.reserve(tile.pixels() * tile.bands);
-    const std::int64_t first = tile.first_flat_index();
-    for (std::int64_t p = first; p < first + tile.pixels(); ++p) {
-      const auto px = cube_->pixel(p);
-      assign.data.insert(assign.data.end(), px.begin(), px.end());
+void ManagerActor::dispatch(scp::ActorContext& ctx,
+                            std::vector<distributed::Send> sends) {
+  for (auto& s : sends) {
+    switch (s.msg.type) {
+      case kTileAssign:
+        s.msg.declared_bytes =
+            model_.tile_bytes(coordinator_.tile(s.item).pixels());
+        break;
+      case kCovShard:
+        s.msg.declared_bytes =
+            model_.unique_vectors_bytes(
+                static_cast<double>(coordinator_.shard_size(s.item))) +
+            params_.shape.bands * 8;
+        break;
+      case kTransform:
+        s.msg.declared_bytes = model_.transform_bytes();
+        break;
+      default:
+        s.msg.declared_bytes = kSmallMsgBytes;
     }
-  }
-  ctx.send(from, assign.encode(model_.tile_bytes(tile.pixels())));
-}
-
-void ManagerActor::on_screen_result(scp::ActorContext& ctx,
-                                    const scp::Message& msg) {
-  ScreenResultMsg result = ScreenResultMsg::decode(msg);
-  outcome_->screen_comparisons += result.comparisons;
-  pending_results_.emplace(result.tile.index, std::move(result));
-
-  // Merge strictly in tile order (see header comment for why).
-  double merge_charge = 0.0;
-  while (true) {
-    auto it = pending_results_.find(merged_tiles_);
-    if (it == pending_results_.end()) break;
-    const ScreenResultMsg& r = it->second;
-    if (params_.mode == ExecutionMode::kFull) {
-      std::uint64_t comparisons = 0;
-      UniqueSet tile_set = UniqueSet::from_flat(
-          params_.shape.bands, params_.screening_threshold,
-          std::vector<float>(r.vectors));
-      global_unique_->merge(tile_set, &comparisons);
-      outcome_->merge_comparisons += comparisons;
-      merge_charge +=
-          static_cast<double>(comparisons) * model_.flops_per_comparison();
-    } else {
-      // Saturating growth of the merged set; the remainder are duplicates.
-      const double returned = static_cast<double>(r.unique_count);
-      const double room =
-          std::max(0.0, 1.0 - model_unique_count_ /
-                                  model_.params().global_unique_size);
-      model_unique_count_ += returned * room;
-      merge_charge += model_.merge_flops(returned);
-    }
-    pending_results_.erase(it);
-    ++merged_tiles_;
-  }
-
-  const bool screening_done =
-      merged_tiles_ == static_cast<int>(tiles_.size());
-  ctx.compute(merge_charge, [this, &ctx, screening_done] {
-    if (screening_done) start_covariance_phase(ctx);
-  });
-}
-
-void ManagerActor::start_covariance_phase(scp::ActorContext& ctx) {
-  // Step 3: mean vector over the unique set (sequential at the manager).
-  std::int64_t unique_count;
-  if (params_.mode == ExecutionMode::kFull) {
-    unique_count = static_cast<std::int64_t>(global_unique_->size());
-    linalg::MeanAccumulator acc(params_.shape.bands);
-    for (std::size_t i = 0; i < global_unique_->size(); ++i) {
-      acc.add(global_unique_->member(i));
-    }
-    mean_ = acc.mean();
-  } else {
-    unique_count = static_cast<std::int64_t>(model_unique_count_);
-    mean_.assign(params_.shape.bands, 0.0);
-  }
-  outcome_->unique_set_size = static_cast<std::size_t>(unique_count);
-  RIF_LOG_DEBUG("fusion", "screening done, unique set K=" << unique_count);
-
-  ctx.compute(model_.mean_flops(), [this, &ctx, unique_count] {
-    // Step 4 dispatch: shard the unique set across the workers.
-    const auto chunks =
-        hsi::partition_range(unique_count, params_.workers);
-    for (int w = 0; w < params_.workers; ++w) {
-      CovShardMsg shard;
-      shard.shard_index = static_cast<std::uint64_t>(w);
-      shard.shard_count = static_cast<std::uint64_t>(chunks[w].size());
-      shard.mean = mean_;
-      if (params_.mode == ExecutionMode::kFull) {
-        shard.vectors.reserve(chunks[w].size() * params_.shape.bands);
-        for (std::int64_t i = chunks[w].begin; i < chunks[w].end; ++i) {
-          const auto m = global_unique_->member(static_cast<std::size_t>(i));
-          shard.vectors.insert(shard.vectors.end(), m.begin(), m.end());
-        }
-      }
-      const std::uint64_t declared =
-          model_.unique_vectors_bytes(
-              static_cast<double>(chunks[w].size())) +
-          params_.shape.bands * 8;
-      ctx.send(params_.worker_tids[w], shard.encode(declared));
-    }
-  });
-}
-
-void ManagerActor::on_cov_sum(scp::ActorContext& ctx, scp::ThreadId from,
-                              const scp::Message& msg) {
-  if (params_.mode == ExecutionMode::kFull) {
-    CovSumMsg sum = CovSumMsg::decode(msg);
-    cov_sums_.emplace(from, std::move(sum.accumulator));
-  }
-  if (++cov_received_ < params_.workers) return;
-
-  // Steps 5-6: average (charge) then eigen-decompose (charge + compute).
-  const double charge =
-      model_.cov_average_flops(params_.workers) + model_.eigen_flops();
-  ctx.compute(charge, [this, &ctx] { broadcast_transform(ctx); });
-}
-
-void ManagerActor::broadcast_transform(scp::ActorContext& ctx) {
-  TransformMsg tm;
-  tm.components = params_.output_components;
-  tm.bands = params_.shape.bands;
-
-  if (params_.mode == ExecutionMode::kFull) {
-    // Step 5: average the per-worker sums, merged in worker order (the map
-    // is keyed by thread id) for bit-reproducibility.
-    linalg::CovarianceAccumulator total(params_.shape.bands, mean_);
-    for (const auto& [tid, bytes] : cov_sums_) {
-      if (!bytes.empty()) {
-        total.merge(linalg::CovarianceAccumulator::decode(bytes));
-      }
-    }
-    const linalg::Matrix cov = total.covariance();
-    const linalg::EigenResult eig = linalg::jacobi_eigen(cov, params_.jacobi);
-    outcome_->eigenvalues = eig.values;
-    const linalg::Matrix t =
-        transform_matrix(eig.vectors, params_.output_components);
-    tm.matrix.assign(t.data(), t.data() + t.rows() * t.cols());
-    tm.mean = mean_;
-    const auto scales = scales_from_eigenvalues(eig.values);
-    for (const auto& s : scales) {
-      tm.scale_mean.push_back(s.mean);
-      tm.scale_gain.push_back(s.gain);
-    }
-  } else {
-    tm.mean = mean_;
-    tm.scale_mean.assign(3, 0.0);
-    tm.scale_gain.assign(3, 1.0);
-  }
-
-  for (const auto w : params_.worker_tids) {
-    ctx.send(w, tm.encode(model_.transform_bytes()));
-  }
-}
-
-void ManagerActor::on_color_tile(scp::ActorContext& ctx,
-                                 const scp::Message& msg) {
-  ColorTileMsg color = ColorTileMsg::decode(msg);
-  if (params_.mode == ExecutionMode::kFull) {
-    const hsi::Tile tile = color.tile.to_tile();
-    RIF_CHECK(color.rgb.size() ==
-              static_cast<std::size_t>(tile.pixels()) * 3);
-    const std::size_t dst_off =
-        static_cast<std::size_t>(tile.first_flat_index()) * 3;
-    std::copy(color.rgb.begin(), color.rgb.end(),
-              outcome_->composite.data.begin() + dst_off);
-  }
-  ++tiles_colored_;
-  outcome_->tiles_colored = tiles_colored_;
-  if (tiles_colored_ == static_cast<int>(tiles_.size())) {
-    outcome_->completed = true;
-    outcome_->completion_time = ctx.now();
-    RIF_LOG_INFO("fusion", "job complete at t=" << to_seconds(ctx.now())
-                                                << "s");
-    ctx.finish();
-    if (on_complete_) {
-      // Service mode: the shared runtime outlives the job. The service's
-      // completion handler retires the job's (now quiescent) actors.
-      on_complete_();
-    } else {
-      ctx.shutdown_runtime();
-    }
+    ctx.send(s.worker, std::move(s.msg));
   }
 }
 
@@ -287,7 +172,6 @@ void WorkerActor::on_message(scp::ActorContext& ctx, scp::ThreadId /*from*/,
 void WorkerActor::on_tile(scp::ActorContext& ctx, const scp::Message& msg) {
   TileAssignMsg assign = TileAssignMsg::decode(msg);
   const std::int64_t pixels = assign.tile.pixels();
-  const int bands = assign.tile.bands;
 
   // Overlap: request the next sub-problem before computing this one
   // (paper §3: "a worker overlaps the request for its next sub-problem

@@ -1,44 +1,36 @@
 // Manager and worker actors of the distributed spectral-screening PCT.
 //
-// The manager (logical thread 0) runs the paper's manager/worker
-// decomposition: it owns the cube, hands out sub-cube tiles on request
-// (workers prefetch — they request the next tile *before* screening the
-// current one, the paper's communication/computation overlap), merges the
-// returned per-tile unique sets in tile order (step 2, sequential), computes
-// the mean (step 3), shards the unique set for the concurrent covariance
-// sums (step 4), averages and eigen-decomposes (steps 5-6), broadcasts the
-// transform, and assembles the colour tiles (steps 7-8 results).
+// The manager (logical thread 0) is the actor adapter of the shared
+// protocol state machine (coordinator.h): it feeds each worker message to
+// the Coordinator with the virtual clock and delivers the resulting sends,
+// charging the paper's manager-side computation (the sequential tile-order
+// merge of step 2, the mean of step 3, the covariance average and eigen
+// step of steps 5-6) to its CPU first and declaring each message's modelled
+// byte size. Workers prefetch — they request the next tile *before*
+// screening the current one, the paper's communication/computation overlap.
 //
-// Merging strictly in tile-index order makes the distributed result a pure
-// function of the tile decomposition — independent of worker count, message
-// timing, replication level, and injected failures. The integration tests
-// exploit this: a run with crashes and regeneration must produce the exact
-// composite of an undisturbed run.
+// The coordinator merges strictly in tile order and shard order, so the
+// distributed result is a pure function of the tile decomposition —
+// independent of worker count, message timing, replication level, and
+// injected failures. The integration tests exploit this: a run with crashes
+// and regeneration must produce the exact composite of an undisturbed run.
+// Per-item deadlines stay off here: the scp runtime's replication and
+// regeneration already recover lost workers.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/distributed/coordinator.h"
 #include "core/distributed/messages.h"
-#include "core/pct.h"
-#include "core/spectral_angle.h"
 #include "hsi/image_cube.h"
 #include "hsi/image_io.h"
-#include "hsi/partition.h"
-#include "linalg/stats.h"
 #include "scp/actor.h"
 #include "support/time.h"
 
 namespace rif::core {
-
-enum class ExecutionMode {
-  kFull,     ///< real pixels, real arithmetic, real composite
-  kCostOnly  ///< dimensions only; CPUs charged from the cost model
-};
 
 /// Parameters shared by the manager and all workers.
 struct FusionParams {
@@ -61,16 +53,9 @@ struct FusionParams {
 };
 
 /// Where the manager deposits results; owned by the job runner.
-struct JobOutcome {
+struct JobOutcome : distributed::CoordinatorResult {
   bool completed = false;
   SimTime completion_time = 0;
-  std::size_t unique_set_size = 0;
-  std::uint64_t screen_comparisons = 0;
-  std::uint64_t merge_comparisons = 0;
-  std::vector<double> eigenvalues;
-  hsi::RgbImage composite;  ///< valid in Full mode only
-  int tiles_distributed = 0;
-  int tiles_colored = 0;
 };
 
 class ManagerActor final : public scp::Actor {
@@ -86,7 +71,6 @@ class ManagerActor final : public scp::Actor {
   ManagerActor(FusionParams params, const hsi::ImageCube* cube,
                JobOutcome* outcome, std::function<void()> on_complete = {});
 
-  void on_start(scp::ActorContext& ctx) override;
   void on_message(scp::ActorContext& ctx, scp::ThreadId from,
                   const scp::Message& msg) override;
 
@@ -95,36 +79,14 @@ class ManagerActor final : public scp::Actor {
   std::uint64_t state_bytes() const override { return params_.shape.bytes(); }
 
  private:
-  void on_request_work(scp::ActorContext& ctx, scp::ThreadId from);
-  void on_screen_result(scp::ActorContext& ctx, const scp::Message& msg);
-  void start_covariance_phase(scp::ActorContext& ctx);
-  void on_cov_sum(scp::ActorContext& ctx, scp::ThreadId from,
-                  const scp::Message& msg);
-  void broadcast_transform(scp::ActorContext& ctx);
-  void on_color_tile(scp::ActorContext& ctx, const scp::Message& msg);
+  /// Deliver the coordinator's sends with their modelled byte sizes.
+  void dispatch(scp::ActorContext& ctx, std::vector<distributed::Send> sends);
 
   FusionParams params_;
-  const hsi::ImageCube* cube_;
   JobOutcome* outcome_;
   std::function<void()> on_complete_;
   CostModel model_;
-
-  std::vector<hsi::Tile> tiles_;
-  int next_tile_ = 0;
-
-  // Step-2 state: in-order merge of per-tile unique sets.
-  std::map<int, ScreenResultMsg> pending_results_;
-  int merged_tiles_ = 0;
-  std::optional<UniqueSet> global_unique_;   // Full mode
-  double model_unique_count_ = 0.0;          // CostOnly mode
-
-  // Steps 3-6 state. Covariance sums are buffered per worker and merged in
-  // worker order so the result is bit-identical across timings/failures.
-  std::vector<double> mean_;
-  std::map<scp::ThreadId, std::vector<std::uint8_t>> cov_sums_;
-  int cov_received_ = 0;
-
-  int tiles_colored_ = 0;
+  distributed::Coordinator coordinator_;
 };
 
 class WorkerActor final : public scp::Actor {

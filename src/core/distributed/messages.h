@@ -19,6 +19,11 @@
 
 namespace rif::core {
 
+enum class ExecutionMode {
+  kFull,     ///< real pixels, real arithmetic, real composite
+  kCostOnly  ///< dimensions only; CPUs charged from the cost model
+};
+
 enum MsgType : std::uint32_t {
   kRequestWork = 1,   ///< worker -> manager: give me the next sub-cube
   kTileAssign = 2,    ///< manager -> worker: sub-cube descriptor (+ data)
@@ -102,11 +107,6 @@ struct ScreenResultMsg {
     }
     return out;
   }
-  static ScreenResultMsg decode(const scp::Message& m) {
-    auto out = try_decode(m);
-    RIF_CHECK_MSG(out.has_value(), "malformed ScreenResultMsg");
-    return std::move(*out);
-  }
 };
 
 struct CovShardMsg {
@@ -160,11 +160,6 @@ struct CovSumMsg {
       return std::nullopt;
     }
     return out;
-  }
-  static CovSumMsg decode(const scp::Message& m) {
-    auto out = try_decode(m);
-    RIF_CHECK_MSG(out.has_value(), "malformed CovSumMsg");
-    return std::move(*out);
   }
 };
 
@@ -222,11 +217,6 @@ struct ColorTileMsg {
       return std::nullopt;
     }
     return out;
-  }
-  static ColorTileMsg decode(const scp::Message& m) {
-    auto out = try_decode(m);
-    RIF_CHECK_MSG(out.has_value(), "malformed ColorTileMsg");
-    return std::move(*out);
   }
 };
 

@@ -194,13 +194,6 @@ std::vector<std::uint8_t> CovarianceAccumulator::encode() const {
   return std::move(w).take();
 }
 
-CovarianceAccumulator CovarianceAccumulator::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  auto acc = try_decode(bytes);
-  RIF_CHECK_MSG(acc.has_value(), "malformed covariance accumulator");
-  return std::move(*acc);
-}
-
 std::optional<CovarianceAccumulator> CovarianceAccumulator::try_decode(
     const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes);

@@ -105,8 +105,7 @@ class CovarianceAccumulator {
   [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static CovarianceAccumulator decode(const std::vector<std::uint8_t>& bytes);
-  /// Non-aborting decode for payloads off the socket plane.
+  /// Decode a payload off the wire; nullopt when it is malformed.
   static std::optional<CovarianceAccumulator> try_decode(
       const std::vector<std::uint8_t>& bytes);
 

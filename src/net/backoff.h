@@ -1,13 +1,11 @@
 // Deterministic exponential backoff with seeded jitter.
 //
-// One schedule generator shared by everything in the tree that retries:
-// rif_worker's connect/reconnect loop and (with jitter off) the
-// coordinator's per-item re-send deadlines. The base delay grows
-// geometrically to a cap; jitter multiplies each delay by a factor drawn
-// uniformly from [1 - jitter, 1 + jitter] off an explicitly seeded Rng, so
-// a fleet of workers seeded by pid de-synchronises its retries while any
-// single schedule stays bit-reproducible — the same discipline as every
-// other stochastic component (support/rng.h).
+// The schedule behind rif_worker's connect/reconnect loop. The base delay
+// grows geometrically to a cap; jitter multiplies each delay by a factor
+// drawn uniformly from [1 - jitter, 1 + jitter] off an explicitly seeded
+// Rng, so a fleet of workers seeded by pid de-synchronises its retries
+// while any single schedule stays bit-reproducible — the same discipline as
+// every other stochastic component (support/rng.h).
 #pragma once
 
 #include <cstdint>

@@ -1,20 +1,14 @@
-// Transport abstraction between the actor protocol and its carrier.
+// The carrier under the scp actor runtime.
 //
-// The scp runtime produces encoded frames (scp::WireEnvelope bytes) and an
-// explicit byte charge; how they move is the transport's business. Two
-// implementations exist:
-//
-//   SimTransport    — wraps the virtual-time net::Network. Frames are moved
-//                     by closure at the simulated arrival time; the charge
-//                     drives serialization/lane modelling, so the timeline
-//                     is byte-for-byte what the pre-refactor runtime saw.
-//                     This is the cheap, already-tested oracle.
-//   SocketTransport — (socket_transport.h) real length-prefixed frames over
-//                     Unix/TCP sockets with a nonblocking poll loop.
-//
-// The charge is separate from the frame size on purpose: the sim models the
-// paper's 64-byte protocol header and CostOnly declared sizes, which a real
-// socket does not replicate.
+// The runtime produces encoded frames (scp::WireEnvelope bytes) and an
+// explicit byte charge; SimTransport moves each frame across the
+// virtual-time net::Network by closure at the simulated arrival time, the
+// charge driving serialization and lane modelling. The charge is separate
+// from the frame size on purpose: the sim models the paper's 64-byte
+// protocol header and CostOnly declared sizes. Real processes do not run
+// the actor runtime; they speak the worker plane over sockets
+// (socket_transport.h), driven by the same fusion Coordinator the sim's
+// manager actor drives (core/distributed/coordinator.h).
 #pragma once
 
 #include <cstdint>
@@ -27,41 +21,24 @@
 
 namespace rif::net {
 
-class Transport {
+class SimTransport {
  public:
   /// Delivered frames land here, on the receiving side's execution context.
   using Handler =
       std::function<void(cluster::NodeId dst, std::vector<std::uint8_t>)>;
 
-  virtual ~Transport() = default;
-
-  /// Ship `frame` from `src` to `dst`, charging `charged_bytes` to whatever
-  /// cost model the transport has. Returns the (virtual) arrival time when
-  /// the transport knows it; real transports return 0.
-  virtual SimTime send(cluster::NodeId src, cluster::NodeId dst,
-                       std::vector<std::uint8_t> frame,
-                       std::uint64_t charged_bytes) = 0;
+  explicit SimTransport(Network& network) : network_(network) {}
 
   void set_handler(Handler h) { handler_ = std::move(h); }
 
- protected:
-  Handler handler_;
-};
-
-/// The virtual-time oracle: every frame rides the simulated network with
-/// exactly the byte charge the caller declared.
-class SimTransport final : public Transport {
- public:
-  explicit SimTransport(Network& network) : network_(network) {}
-
+  /// Ship `frame` from `src` to `dst`, charging `charged_bytes` to the
+  /// network model. Returns the virtual arrival time.
   SimTime send(cluster::NodeId src, cluster::NodeId dst,
-               std::vector<std::uint8_t> frame,
-               std::uint64_t charged_bytes) override;
-
-  [[nodiscard]] Network& network() { return network_; }
+               std::vector<std::uint8_t> frame, std::uint64_t charged_bytes);
 
  private:
   Network& network_;
+  Handler handler_;
 };
 
 }  // namespace rif::net

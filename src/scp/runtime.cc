@@ -59,7 +59,7 @@ struct Group {
 struct Runtime::Impl {
   Runtime& self;
   cluster::Cluster& cluster;
-  net::Transport& transport;
+  net::SimTransport& transport;
   RuntimeConfig& config;
   ProtocolStats& stats;
 
@@ -953,20 +953,7 @@ void Runtime::Impl::install_replica(ThreadId tid, int slot, std::uint64_t inc,
 
 Runtime::Runtime(cluster::Cluster& cluster, net::Network& network,
                  RuntimeConfig config)
-    : cluster_(cluster),
-      owned_transport_(std::make_unique<net::SimTransport>(network)),
-      transport_(*owned_transport_),
-      config_(config) {
-  impl_ = std::make_unique<Impl>(*this);
-  transport_.set_handler(
-      [this](cluster::NodeId dst, std::vector<std::uint8_t> frame) {
-        impl_->deliver(dst, std::move(frame));
-      });
-}
-
-Runtime::Runtime(cluster::Cluster& cluster, net::Transport& transport,
-                 RuntimeConfig config)
-    : cluster_(cluster), transport_(transport), config_(config) {
+    : cluster_(cluster), transport_(network), config_(config) {
   impl_ = std::make_unique<Impl>(*this);
   transport_.set_handler(
       [this](cluster::NodeId dst, std::vector<std::uint8_t> frame) {

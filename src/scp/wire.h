@@ -1,14 +1,13 @@
-// Wire envelope shared by the virtual-time and real-socket transports.
+// Wire envelope shared by the virtual-time runtime and the socket plane.
 //
 // Every hop the actor runtime takes — application messages, acks,
 // heartbeats, snapshot requests, state installs — is one WireEnvelope,
 // encoded with the same Writer/Reader discipline as the application
-// messages it carries. The envelope is transport-agnostic: the sim
-// transport hands the encoded bytes across a virtual link and the socket
-// transport frames them onto a file descriptor, so a protocol trace is
-// byte-identical between the two. The worker-plane kinds (kHello..kGoodbye)
-// are used by the remote-execution path, where a `rif_worker` process
-// leases itself into the service's cluster over the same framing.
+// messages it carries; net::SimTransport hands the encoded bytes across a
+// virtual link. The socket plane frames the same envelopes onto a file
+// descriptor: the worker-plane kinds (kHello..kTelemetry) are used by the
+// remote-execution path, where a `rif_worker` process leases itself into
+// the service's cluster, and kApp carries the same fusion messages there.
 #pragma once
 
 #include <cstdint>
@@ -101,10 +100,8 @@ struct WireEnvelope {
 /// kHello payload: what a connecting worker advertises.
 struct HelloBody {
   std::uint32_t protocol_version = 1;
-  std::uint32_t threads = 1;  ///< compute threads the worker will use
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static HelloBody decode(const std::vector<std::uint8_t>& bytes);
 };
 
 /// kJobStart payload: everything a worker needs before tiles arrive.

@@ -1,501 +1,133 @@
 #include "service/remote_exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <chrono>
-#include <deque>
-#include <map>
-#include <optional>
 #include <utility>
 
-#include "core/color_map.h"
-#include "core/distributed/messages.h"
-#include "core/pct.h"
-#include "core/spectral_angle.h"
-#include "hsi/partition.h"
-#include "linalg/matrix.h"
-#include "linalg/stats.h"
-#include "obs/span_tracer.h"
+#include "core/distributed/coordinator.h"
 #include "scp/wire.h"
 #include "support/check.h"
 #include "support/log.h"
 
 namespace rif::service {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct Coordinator {
-  Coordinator(cluster::RemoteWorkerPool& pool_in, const RemoteExecParams& p_in)
-      : pool(pool_in), p(p_in) {}
-
-  cluster::RemoteWorkerPool& pool;
-  const RemoteExecParams& p;
-  RemoteExecResult out;
-
-  std::vector<hsi::Tile> tiles;
-  std::vector<int> live;  ///< surviving pool worker indices
-  int bands = 0;
-
-  // Screening state. holder[t] is the worker whose memory holds tile t's
-  // pixels (it will colour it later); merge order is strictly tile index.
-  std::vector<int> holder;
-  std::vector<bool> merge_done;
-  std::vector<bool> colored;
-  std::map<int, core::ScreenResultMsg> pending;
-  std::optional<core::UniqueSet> global;
-  int merged_tiles = 0;
-  int next_tile = 0;
-  int colored_count = 0;
-  int rr = 0;  ///< round-robin cursor for failure reassignment
-
-  // Covariance state. Shard messages are retained so a dead worker's
-  // shards can be re-sent verbatim; sums merge in shard-index order.
-  std::vector<double> mean;
-  std::vector<core::CovShardMsg> shard_msgs;
-  std::vector<std::vector<std::uint8_t>> shard_acc;
-  std::map<int, std::deque<int>> outstanding;  ///< worker -> shard FIFO
-  int shards_received = 0;
-  std::optional<core::TransformMsg> transform;
-
-  // Per-item supervision. Every assigned-but-unanswered tile and every
-  // outstanding covariance shard carries its own deadline; there is no
-  // global silence clock for one chatty worker to reset on a hung one's
-  // behalf. attempts counts deadline EXPIRIES (disconnect requeues re-arm
-  // without charging the budget — a crash is not the new worker's fault).
-  struct Track {
-    Clock::time_point deadline;
-    int attempts = 0;
-    bool active = false;
-  };
-  std::vector<Track> tile_track;
-  std::vector<Track> shard_track;
-
-  void arm(Track& track) {
-    if (p.shard_deadline_seconds <= 0.0) return;
-    double d = p.shard_deadline_seconds;
-    for (int i = 0; i < track.attempts; ++i) d *= p.resend_backoff;
-    track.deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(d));
-    track.active = true;
-  }
-
-  /// Next live worker, preferring one other than `avoid`.
-  [[nodiscard]] int pick_other(int avoid) {
-    int v = live[static_cast<std::size_t>(rr++) % live.size()];
-    if (v == avoid && live.size() > 1) {
-      v = live[static_cast<std::size_t>(rr++) % live.size()];
-    }
-    return v;
-  }
-
-  /// Earliest active per-item deadline, or nullopt when nothing is armed.
-  [[nodiscard]] std::optional<Clock::time_point> next_deadline() const {
-    std::optional<Clock::time_point> next;
-    const auto consider = [&](const Track& t) {
-      if (t.active && (!next || t.deadline < *next)) next = t.deadline;
-    };
-    for (const Track& t : tile_track) consider(t);
-    for (const Track& t : shard_track) consider(t);
-    return next;
-  }
-
-  /// Re-send every overdue item; false when an item's budget ran out and
-  /// the job must fall back.
-  [[nodiscard]] bool check_deadlines() {
-    if (p.shard_deadline_seconds <= 0.0 || live.empty()) return true;
-    const auto now = Clock::now();
-    for (int t = 0; t < static_cast<int>(tile_track.size()); ++t) {
-      Track& track = tile_track[static_cast<std::size_t>(t)];
-      if (!track.active || now < track.deadline) continue;
-      if (++track.attempts > p.resend_limit) return give_up("tile", t);
-      const int v = pick_other(holder[t]);
-      ++out.tiles_resent;
-      if (p.metrics) p.metrics->counter("remote.tile_resends").add(1);
-      RIF_TRACE_INSTANT("remote.resend_tile");
-      RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
-                    "job " << p.job_id << ": tile " << t << " overdue (attempt "
-                           << track.attempts << "); re-sending to worker "
-                           << v);
-      assign_tile(v, t);  // re-arms with the backed-off deadline
-    }
-    for (int s = 0; s < static_cast<int>(shard_track.size()); ++s) {
-      Track& track = shard_track[static_cast<std::size_t>(s)];
-      if (!track.active || now < track.deadline) continue;
-      if (++track.attempts > p.resend_limit) return give_up("shard", s);
-      // Move the shard from whichever worker holds it to a fresh one.
-      int owner = -1;
-      for (auto& [w, fifo] : outstanding) {
-        auto pos = std::find(fifo.begin(), fifo.end(), s);
-        if (pos != fifo.end()) {
-          fifo.erase(pos);
-          owner = w;
-          break;
-        }
-      }
-      const int v = pick_other(owner);
-      outstanding[v].push_back(s);
-      ++out.shards_resent;
-      if (p.metrics) p.metrics->counter("remote.shard_resends").add(1);
-      RIF_TRACE_INSTANT("remote.resend_shard");
-      RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
-                    "job " << p.job_id << ": cov shard " << s
-                           << " overdue (attempt " << track.attempts
-                           << "); re-sending to worker " << v);
-      send_app(v, shard_msgs[static_cast<std::size_t>(s)].encode(0));
-      arm(track);
-    }
-    return true;
-  }
-
-  bool give_up(const char* what, int index) {
-    ++out.deadline_giveups;
-    if (p.metrics) p.metrics->counter("remote.deadline_giveups").add(1);
-    RIF_TRACE_INSTANT("remote.deadline_giveup");
-    RIF_LOG_WARN("remote", "job " << p.job_id << ": " << what << " " << index
-                                  << " exhausted its resend budget; falling "
-                                     "back to the host pool");
-    return false;
-  }
-
-  [[nodiscard]] bool is_live(int w) const {
-    return std::find(live.begin(), live.end(), w) != live.end();
-  }
-
-  void send_app(int w, const scp::Message& msg) {
-    scp::WireEnvelope env;
-    env.kind = scp::FrameKind::kApp;
-    env.dst_node = pool.node_of(w);
-    env.seq = static_cast<std::uint64_t>(p.job_id);  // job tag (see wire.h)
-    env.msg_type = msg.type;
-    env.declared = msg.declared_bytes;
-    env.payload = msg.payload;
-    pool.send(w, env);
-  }
-
-  void send_control(int w, scp::FrameKind kind,
-                    std::vector<std::uint8_t> payload = {}) {
-    scp::WireEnvelope env;
-    env.kind = kind;
-    env.dst_node = pool.node_of(w);
-    env.payload = std::move(payload);
-    pool.send(w, env);
-  }
-
-  void assign_tile(int w, int t) {
-    holder[t] = w;
-    const hsi::Tile& tile = tiles[static_cast<std::size_t>(t)];
-    core::TileAssignMsg assign;
-    assign.tile = core::WireTile::from(tile);
-    assign.data.reserve(tile.pixels() * tile.bands);
-    const std::int64_t first = tile.first_flat_index();
-    for (std::int64_t px = first; px < first + tile.pixels(); ++px) {
-      const auto v = p.cube->pixel(px);
-      assign.data.insert(assign.data.end(), v.begin(), v.end());
-    }
-    send_app(w, assign.encode(0));
-    arm(tile_track[static_cast<std::size_t>(t)]);
-  }
-
-  void on_request_work(int w) {
-    if (next_tile < static_cast<int>(tiles.size())) {
-      assign_tile(w, next_tile++);
-    } else {
-      send_app(w, scp::Message{core::kNoMoreTiles, {}, 0});
-    }
-  }
-
-  void on_screen_result(int w, const scp::Message& msg) {
-    // Bodies off the wire are untrusted: a corrupt one is dropped (the
-    // per-item deadline re-sends the work), never decoded with aborts.
-    auto decoded = core::ScreenResultMsg::try_decode(msg);
-    if (!decoded) return;
-    core::ScreenResultMsg result = std::move(*decoded);
-    // The index came off the wire: bound it before it touches any state.
-    const int t = result.tile.index;
-    if (t < 0 || t >= static_cast<int>(tiles.size())) return;
-    // So is the member array: from_flat would abort on a ragged length or
-    // a zero/non-finite member, and a peer that computed a valid checksum
-    // can still have produced garbage. Reject it while the tile can be
-    // re-screened elsewhere.
-    if (result.vectors.size() % static_cast<std::size_t>(bands) != 0) return;
-    for (const float v : result.vectors) {
-      if (!std::isfinite(v)) return;
-    }
-    for (std::size_t m = 0; m < result.vectors.size();
-         m += static_cast<std::size_t>(bands)) {
-      const auto* mem = result.vectors.data() + m;
-      if (std::all_of(mem, mem + bands, [](float v) { return v == 0.0f; })) {
-        return;
-      }
-    }
-    holder[t] = w;
-    // Pre-transform, a screen result settles the tile's outstanding work
-    // (nothing more is owed until the transform broadcast re-arms it for
-    // colour). Post-transform the colour reply is still owed: stay armed.
-    if (!transform) tile_track[static_cast<std::size_t>(t)].active = false;
-    if (merge_done[t] || pending.contains(t)) return;  // re-screened tile
-    out.screen_comparisons += result.comparisons;
-    pending.emplace(t, std::move(result));
-
-    // Merge strictly in tile order — same order, same arithmetic, same
-    // composite as the sim ManagerActor.
-    while (true) {
-      auto it = pending.find(merged_tiles);
-      if (it == pending.end()) break;
-      const core::ScreenResultMsg& r = it->second;
-      std::uint64_t comparisons = 0;
-      core::UniqueSet tile_set = core::UniqueSet::from_flat(
-          bands, p.screening_threshold, std::vector<float>(r.vectors));
-      global->merge(tile_set, &comparisons);
-      out.merge_comparisons += comparisons;
-      merge_done[it->first] = true;
-      pending.erase(it);
-      ++merged_tiles;
-    }
-    if (merged_tiles == static_cast<int>(tiles.size())) {
-      start_covariance_phase();
-    }
-  }
-
-  void start_covariance_phase() {
-    const auto unique_count = static_cast<std::int64_t>(global->size());
-    out.unique_set_size = static_cast<std::size_t>(unique_count);
-    linalg::MeanAccumulator acc(bands);
-    for (std::size_t i = 0; i < global->size(); ++i) {
-      acc.add(global->member(i));
-    }
-    mean = acc.mean();
-
-    const auto chunks = hsi::partition_range(unique_count, out.shards);
-    shard_msgs.resize(static_cast<std::size_t>(out.shards));
-    shard_acc.resize(static_cast<std::size_t>(out.shards));
-    shard_track.assign(static_cast<std::size_t>(out.shards), {});
-    for (int s = 0; s < out.shards; ++s) {
-      core::CovShardMsg& shard = shard_msgs[static_cast<std::size_t>(s)];
-      shard.shard_index = static_cast<std::uint64_t>(s);
-      shard.shard_count = static_cast<std::uint64_t>(chunks[s].size());
-      shard.mean = mean;
-      shard.vectors.reserve(chunks[s].size() * bands);
-      for (std::int64_t i = chunks[s].begin; i < chunks[s].end; ++i) {
-        const auto m = global->member(static_cast<std::size_t>(i));
-        shard.vectors.insert(shard.vectors.end(), m.begin(), m.end());
-      }
-      const int w = live[static_cast<std::size_t>(s) % live.size()];
-      outstanding[w].push_back(s);
-      send_app(w, shard.encode(0));
-      arm(shard_track[static_cast<std::size_t>(s)]);
-    }
-  }
-
-  void on_cov_sum(int w, const scp::Message& msg) {
-    auto decoded = core::CovSumMsg::try_decode(msg);
-    if (!decoded) return;
-    core::CovSumMsg sum = std::move(*decoded);
-    // The accumulator inside is wire bytes too: reject it here, while the
-    // shard can still be re-sent, not in the shard-order merge later.
-    if (!linalg::CovarianceAccumulator::try_decode(sum.accumulator)) return;
-    // Pair the reply with its shard by the echoed index, never by FIFO
-    // position: a stale or duplicate reply must not land in another
-    // shard's slot (the sum was computed against a specific mean).
-    if (sum.shard_index >= static_cast<std::uint64_t>(out.shards)) return;
-    const int s = static_cast<int>(sum.shard_index);
-    auto it = outstanding.find(w);
-    if (it == outstanding.end()) return;
-    auto pos = std::find(it->second.begin(), it->second.end(), s);
-    if (pos == it->second.end()) return;  // not this worker's shard: drop
-    it->second.erase(pos);
-    shard_acc[static_cast<std::size_t>(s)] = std::move(sum.accumulator);
-    shard_track[static_cast<std::size_t>(s)].active = false;
-    if (++shards_received == out.shards) broadcast_transform();
-  }
-
-  void broadcast_transform() {
-    // Merge in shard-index order regardless of which worker computed each
-    // sum — this is what keeps the eigenbasis identical across failures.
-    linalg::CovarianceAccumulator total(bands, mean);
-    for (const auto& bytes : shard_acc) {
-      if (!bytes.empty()) {
-        total.merge(linalg::CovarianceAccumulator::decode(bytes));
-      }
-    }
-    const linalg::Matrix cov = total.covariance();
-    const linalg::EigenResult eig = linalg::jacobi_eigen(cov, p.jacobi);
-    out.eigenvalues = eig.values;
-
-    core::TransformMsg tm;
-    tm.components = p.output_components;
-    tm.bands = bands;
-    const linalg::Matrix t =
-        core::transform_matrix(eig.vectors, p.output_components);
-    tm.matrix.assign(t.data(), t.data() + t.rows() * t.cols());
-    tm.mean = mean;
-    const auto scales = core::scales_from_eigenvalues(eig.values);
-    for (const auto& s : scales) {
-      tm.scale_mean.push_back(s.mean);
-      tm.scale_gain.push_back(s.gain);
-    }
-    transform = std::move(tm);
-    for (const int w : live) send_app(w, transform->encode(0));
-    // Every uncoloured tile is outstanding again — its holder owes a
-    // colour reply now that the transform is out.
-    for (int t = 0; t < static_cast<int>(tiles.size()); ++t) {
-      if (!colored[t]) arm(tile_track[static_cast<std::size_t>(t)]);
-    }
-  }
-
-  void on_color_tile(const scp::Message& msg) {
-    auto decoded = core::ColorTileMsg::try_decode(msg);
-    if (!decoded) return;
-    core::ColorTileMsg color = std::move(*decoded);
-    const int t = color.tile.index;
-    if (t < 0 || t >= static_cast<int>(tiles.size())) return;
-    if (colored[t]) return;  // duplicate from a re-screened tile
-    // Geometry comes from our own partition, never from the wire; a reply
-    // whose pixel count disagrees with it is dropped, not trusted.
-    const hsi::Tile& tile = tiles[static_cast<std::size_t>(t)];
-    if (color.rgb.size() != static_cast<std::size_t>(tile.pixels()) * 3) {
-      return;
-    }
-    const auto dst = static_cast<std::size_t>(tile.first_flat_index()) * 3;
-    std::copy(color.rgb.begin(), color.rgb.end(),
-              out.composite.data.begin() + dst);
-    colored[t] = true;
-    tile_track[static_cast<std::size_t>(t)].active = false;
-    ++colored_count;
-  }
-
-  void on_closed(int w) {
-    if (!is_live(w)) return;
-    live.erase(std::remove(live.begin(), live.end(), w), live.end());
-    ++out.worker_disconnects;
-    RIF_LOG_WARN("remote", "worker " << w << " disconnected mid-job "
-                                    << p.job_id << "; re-queueing its work");
-    if (live.empty()) return;
-
-    // Re-send any covariance shards it had not answered.
-    if (auto it = outstanding.find(w); it != outstanding.end()) {
-      for (const int s : it->second) {
-        const int v = live[static_cast<std::size_t>(rr++) % live.size()];
-        outstanding[v].push_back(s);
-        send_app(v, shard_msgs[static_cast<std::size_t>(s)].encode(0));
-        // Fresh clock, same attempt count: a crash does not charge the
-        // item's resend budget.
-        arm(shard_track[static_cast<std::size_t>(s)]);
-      }
-      outstanding.erase(it);
-    }
-
-    // Re-assign every tile whose only copy lived in its memory. Survivors
-    // re-screen (the duplicate result is dropped) and — once they hold the
-    // transform — colour it; merge/colour order is unaffected.
-    for (int t = 0; t < static_cast<int>(tiles.size()); ++t) {
-      if (holder[t] != w || colored[t]) continue;
-      const int v = live[static_cast<std::size_t>(rr++) % live.size()];
-      ++out.tiles_requeued;
-      assign_tile(v, t);
-    }
-  }
-};
-
-}  // namespace
 
 RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
                                     const std::vector<int>& workers,
                                     const RemoteExecParams& p) {
   RIF_CHECK_MSG(p.cube != nullptr, "remote execution requires a cube");
-  Coordinator c{pool, p};
-  c.bands = p.cube->bands();
-  const hsi::CubeShape shape{p.cube->width(), p.cube->height(), c.bands};
-  c.tiles = hsi::partition_rows(shape, p.total_tiles);
+  std::vector<int> live;
   for (const int w : workers) {
-    if (pool.alive(w)) c.live.push_back(w);
+    if (pool.alive(w)) live.push_back(w);
   }
-  if (c.live.empty()) return std::move(c.out);
+  if (live.empty()) return {};
 
-  const int total = static_cast<int>(c.tiles.size());
-  c.out.shards = static_cast<int>(c.live.size());
-  c.holder.assign(total, -1);
-  c.merge_done.assign(total, false);
-  c.colored.assign(total, false);
-  c.tile_track.assign(static_cast<std::size_t>(total), {});
-  c.global.emplace(c.bands, p.screening_threshold);
-  c.out.composite = hsi::RgbImage(shape.width, shape.height);
+  core::distributed::CoordinatorParams cp;
+  cp.shape = {p.cube->width(), p.cube->height(), p.cube->bands()};
+  cp.cube = p.cube;
+  cp.total_tiles = p.total_tiles;
+  cp.screening_threshold = p.screening_threshold;
+  cp.output_components = p.output_components;
+  cp.jacobi = p.jacobi;
+  cp.job_id = p.job_id;
+  cp.shard_deadline_seconds = p.shard_deadline_seconds;
+  cp.resend_limit = p.resend_limit;
+  cp.resend_backoff = p.resend_backoff;
+  cp.metrics = p.metrics;
+  RemoteExecResult out;
+  core::distributed::Coordinator c(cp, live, out);
 
-  const scp::JobStartBody body{p.job_id,
-                               shape.width,
-                               shape.height,
-                               shape.bands,
-                               p.screening_threshold,
-                               p.output_components};
-  for (const int w : c.live) {
-    c.send_control(w, scp::FrameKind::kJobStart, body.encode());
+  const auto envelope = [&](int w, scp::FrameKind kind) {
+    scp::WireEnvelope env;
+    env.kind = kind;
+    env.dst_node = pool.node_of(w);
+    return env;
+  };
+  const auto flush = [&] {
+    for (auto& s : c.take_sends()) {
+      scp::WireEnvelope env = envelope(s.worker, scp::FrameKind::kApp);
+      env.seq = static_cast<std::uint64_t>(p.job_id);  // job tag (see wire.h)
+      env.msg_type = s.msg.type;
+      env.declared = s.msg.declared_bytes;
+      env.payload = std::move(s.msg.payload);
+      pool.send(s.worker, env);
+    }
+  };
+  const scp::JobStartBody body{p.job_id,         cp.shape.width,
+                               cp.shape.height,  cp.shape.bands,
+                               p.screening_threshold, p.output_components};
+  for (const int w : live) {
+    scp::WireEnvelope env = envelope(w, scp::FrameKind::kJobStart);
+    env.payload = body.encode();
+    pool.send(w, env);
   }
 
   // The job deadline is a wall clock from job start — not a silence clock
   // that activity resets, so a hung item is bounded by its OWN deadline
-  // (check_deadlines) however chatty the rest of the pool is.
-  const auto job_deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(p.deadline_seconds));
-  while (c.colored_count < total) {
-    const auto now = Clock::now();
-    if (now >= job_deadline) {
+  // (Coordinator::tick) however chatty the rest of the pool is.
+  const auto start = std::chrono::steady_clock::now();
+  const auto seconds = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  while (!c.done()) {
+    const double now = seconds();
+    if (now >= p.deadline_seconds) {
       RIF_LOG_WARN("remote", "job " << p.job_id
                                     << " hit its wall deadline; falling "
                                        "back to the host pool");
-      return std::move(c.out);  // completed stays false: host fallback
+      return out;
     }
-    if (!c.check_deadlines()) return std::move(c.out);  // budget exhausted
+    c.tick(now);
+    flush();
+    if (c.failed()) return out;  // resend budget exhausted
     // Wake for whichever comes first: the poll cap, the job deadline, or
     // the nearest per-item deadline.
-    double wait = std::min(
-        p.poll_timeout_seconds,
-        std::chrono::duration<double>(job_deadline - now).count());
+    double wait = std::min(p.poll_timeout_seconds, p.deadline_seconds - now);
     if (const auto next = c.next_deadline()) {
-      wait = std::min(wait,
-                      std::chrono::duration<double>(*next - now).count());
+      wait = std::min(wait, *next - now);
     }
-    auto ev = c.pool.poll_event(std::max(wait, 1e-3));
-    if (!ev) {
-      if (c.live.empty()) return std::move(c.out);
-      continue;
-    }
+    auto ev = pool.poll_event(std::max(wait, 1e-3));
+    if (!ev) continue;
+    const double at = seconds();
     if (ev->kind == cluster::RemoteWorkerPool::Event::Kind::kClosed) {
-      c.on_closed(ev->worker);
-      if (c.live.empty()) return std::move(c.out);
-      continue;
-    }
-    if (!c.is_live(ev->worker) || ev->env.kind != scp::FrameKind::kApp) {
+      c.worker_lost(ev->worker, at);
+      flush();
+      if (c.failed()) return out;
       continue;
     }
     // Jobs run serially over a shared pool: a frame still in flight from an
     // earlier job (requeue or deadline fallback) carries that job's tag and
-    // must not be consumed by this coordinator.
-    if (ev->env.seq != static_cast<std::uint64_t>(p.job_id)) continue;
+    // must not be consumed by this job.
+    if (ev->env.kind != scp::FrameKind::kApp ||
+        ev->env.seq != static_cast<std::uint64_t>(p.job_id)) {
+      continue;
+    }
     const scp::Message msg = ev->env.to_message();
     switch (msg.type) {
       case core::kRequestWork:
-        c.on_request_work(ev->worker);
+        c.request_work(ev->worker, at);
         break;
       case core::kScreenResult:
-        c.on_screen_result(ev->worker, msg);
+        c.screen_result(ev->worker, msg, at);
         break;
       case core::kCovSum:
-        c.on_cov_sum(ev->worker, msg);
+        c.cov_sum(ev->worker, msg, at);
         break;
       case core::kColorTile:
-        c.on_color_tile(msg);
+        c.color_tile(ev->worker, msg);
         break;
       default:
         break;
     }
+    flush();
   }
 
-  for (const int w : c.live) c.send_control(w, scp::FrameKind::kJobEnd);
-  c.out.completed = true;
-  return std::move(c.out);
+  for (const int w : c.live_workers()) {
+    pool.send(w, envelope(w, scp::FrameKind::kJobEnd));
+  }
+  out.completed = true;
+  return out;
 }
 
 }  // namespace rif::service

@@ -1,34 +1,28 @@
-// Coordinator for running one fusion job across real worker processes.
+// Running one fusion job across real worker processes.
 //
-// This is the ManagerActor's Full-mode protocol replayed over sockets: the
-// same six messages, the same strictly-in-tile-order unique-set merge, the
-// same fixed shard partition and shard-order covariance merge. Because
-// every arithmetic step happens in the same order on the same shared
-// kernels, the composite is byte-identical to the sim-transport run and to
-// fuse_parallel with the same tile/shard counts — the sim stays the oracle
-// for the real deployment.
-//
-// Fault handling: when a worker disconnects mid-job, every tile or
-// covariance shard it owned is re-queued onto the survivors and the job
-// completes without a restart. A worker that HANGS (or whose replies a
-// degraded link eats) is caught by per-item deadlines: every assigned tile
-// and every outstanding covariance shard has its own clock, and an item
-// overdue is re-sent to a different live worker with an exponentially
-// backed-off deadline, up to `resend_limit` attempts — then the job gives
-// up and the caller falls back to the host pool. One chatty worker can no
-// longer keep another worker's stalled work alive, because no global
-// silence clock exists to reset. Determinism survives all of this because
-// the merge orders are keyed by tile/shard index, never by which worker
-// answered — a resent item computed twice lands in the same slot with the
-// same bytes.
+// execute_remote_job is the socket adapter of the shared protocol state
+// machine (core/distributed/coordinator.h), the same Coordinator the sim's
+// ManagerActor drives. It owns only what sockets add: the poll_event loop,
+// the per-job wall deadline, job-tagged envelopes (a frame left over from
+// an earlier job is never consumed), and the mapping of a disconnect onto
+// Coordinator::worker_lost. Tile handout, the tile-order unique-set merge,
+// the shard partition frozen at job start, the shard-order covariance
+// merge, per-item deadlines with backed-off resends, disconnect requeue
+// and the validation of every reply all happen inside the coordinator, so
+// the composite is byte-identical to the sim run and to fuse_parallel with
+// the same tile/shard counts — the sim stays the oracle for the real
+// deployment. When a worker hangs, crashes or its replies keep failing
+// validation, its items move to other live workers; when an item exhausts
+// `resend_limit` or every worker is gone, the job reports
+// `completed = false` and the caller falls back to the host pool.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cluster/remote_pool.h"
+#include "core/distributed/coordinator.h"
 #include "hsi/image_cube.h"
-#include "hsi/image_io.h"
 #include "linalg/jacobi_eig.h"
 #include "runtime/metrics.h"
 
@@ -60,19 +54,10 @@ struct RemoteExecParams {
   runtime::MetricsRegistry* metrics = nullptr;
 };
 
-struct RemoteExecResult {
+/// The coordinator's result; `completed` false means the caller falls back
+/// to the host engine.
+struct RemoteExecResult : core::distributed::CoordinatorResult {
   bool completed = false;
-  hsi::RgbImage composite;
-  std::size_t unique_set_size = 0;
-  std::vector<double> eigenvalues;
-  std::uint64_t screen_comparisons = 0;
-  std::uint64_t merge_comparisons = 0;
-  int shards = 0;             ///< fixed covariance shard count used
-  int tiles_requeued = 0;     ///< tiles reassigned after a disconnect
-  int worker_disconnects = 0;
-  int tiles_resent = 0;       ///< tiles re-sent after a per-item deadline
-  int shards_resent = 0;      ///< cov shards re-sent after a deadline
-  int deadline_giveups = 0;   ///< items whose resend budget ran out
 };
 
 /// Run one job over `workers` (pool indices). The shard count is fixed to

@@ -259,7 +259,7 @@ TEST(CovarianceTest, EncodeDecodeRoundTrip) {
   CovarianceAccumulator acc(2, mean);
   acc.add(std::vector<float>{2.0f, 1.0f});
   acc.add(std::vector<float>{0.0f, 3.0f});
-  const auto decoded = CovarianceAccumulator::decode(acc.encode());
+  const auto decoded = CovarianceAccumulator::try_decode(acc.encode()).value();
   EXPECT_EQ(decoded.count(), 2u);
   EXPECT_LT(relative_difference(decoded.covariance(), acc.covariance()),
             1e-15);

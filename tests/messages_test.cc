@@ -30,7 +30,8 @@ TEST(MessagesTest, ScreenResultRoundTrip) {
   msg.unique_count = 321;
   msg.comparisons = 99999;
   msg.vectors = {0.5f, 0.25f};
-  const ScreenResultMsg back = ScreenResultMsg::decode(msg.encode(0));
+  const ScreenResultMsg back =
+      ScreenResultMsg::try_decode(msg.encode(0)).value();
   EXPECT_EQ(back.unique_count, 321u);
   EXPECT_EQ(back.comparisons, 99999u);
   EXPECT_EQ(back.vectors, msg.vectors);
@@ -52,7 +53,7 @@ TEST(MessagesTest, CovSumRoundTrip) {
   CovSumMsg msg;
   msg.shard_index = 9;
   msg.accumulator = {1, 2, 3, 255};
-  const CovSumMsg back = CovSumMsg::decode(msg.encode(0));
+  const CovSumMsg back = CovSumMsg::try_decode(msg.encode(0)).value();
   EXPECT_EQ(back.shard_index, 9u);
   EXPECT_EQ(back.accumulator, msg.accumulator);
 }
@@ -76,7 +77,7 @@ TEST(MessagesTest, ColorTileRoundTrip) {
   ColorTileMsg msg;
   msg.tile = {7, 8, 2, 4, 16};
   msg.rgb = {255, 0, 128, 1, 2, 3};
-  const ColorTileMsg back = ColorTileMsg::decode(msg.encode(0));
+  const ColorTileMsg back = ColorTileMsg::try_decode(msg.encode(0)).value();
   EXPECT_EQ(back.tile.index, 7);
   EXPECT_EQ(back.rgb, msg.rgb);
 }
@@ -94,9 +95,9 @@ TEST(MessagesTest, WireTileConversion) {
 
 // --- Malformed wire payloads ---------------------------------------------
 //
-// Accumulator decode() runs on bytes received from other nodes; a hostile
-// or corrupt payload must die on a clean bounds check, never read out of
-// bounds or size containers from garbage.
+// Accumulator decoders run on bytes received from other nodes; a hostile
+// or corrupt payload must fail a clean bounds check (die, or be refused by
+// try_decode), never read out of bounds or size containers from garbage.
 
 TEST(MalformedPayloadTest, TruncatedMeanAccumulatorDies) {
   auto bytes = [] {
@@ -126,37 +127,34 @@ TEST(MalformedPayloadTest, ZeroDimsMeanAccumulatorDies) {
   EXPECT_DEATH((void)linalg::MeanAccumulator::decode(bytes), "zero dims");
 }
 
-TEST(MalformedPayloadTest, NegativeCovarianceDimsDies) {
+TEST(MalformedPayloadTest, NegativeCovarianceDimsRejected) {
   Writer w;
   w.put<std::int32_t>(-3);
   w.put<std::uint64_t>(1);
   w.put_vector(std::vector<double>{1.0, 2.0, 3.0});
   w.put_vector(std::vector<double>{0.0, 0.0, 0.0, 0.0, 0.0, 0.0});
   auto bytes = std::move(w).take();
-  EXPECT_DEATH((void)linalg::CovarianceAccumulator::decode(bytes),
-               "malformed covariance accumulator");
+  EXPECT_FALSE(linalg::CovarianceAccumulator::try_decode(bytes).has_value());
 }
 
-TEST(MalformedPayloadTest, MismatchedCovarianceDimsDies) {
+TEST(MalformedPayloadTest, MismatchedCovarianceDimsRejected) {
   Writer w;
   w.put<std::int32_t>(4);  // dims disagrees with the 3-long mean below
   w.put<std::uint64_t>(1);
   w.put_vector(std::vector<double>{1.0, 2.0, 3.0});
   w.put_vector(std::vector<double>(10, 0.0));
   auto bytes = std::move(w).take();
-  EXPECT_DEATH((void)linalg::CovarianceAccumulator::decode(bytes),
-               "malformed covariance accumulator");
+  EXPECT_FALSE(linalg::CovarianceAccumulator::try_decode(bytes).has_value());
 }
 
-TEST(MalformedPayloadTest, ShortCovarianceTriangleDies) {
+TEST(MalformedPayloadTest, ShortCovarianceTriangleRejected) {
   Writer w;
   w.put<std::int32_t>(3);
   w.put<std::uint64_t>(2);
   w.put_vector(std::vector<double>{1.0, 2.0, 3.0});
   w.put_vector(std::vector<double>{0.0, 0.0});  // triangle needs 6
   auto bytes = std::move(w).take();
-  EXPECT_DEATH((void)linalg::CovarianceAccumulator::decode(bytes),
-               "malformed covariance accumulator");
+  EXPECT_FALSE(linalg::CovarianceAccumulator::try_decode(bytes).has_value());
 }
 
 TEST(MalformedPayloadTest, TruncatedStringDies) {
@@ -187,6 +185,22 @@ void expect_decode_bounds_checked(const Msg& msg, DecodeFn decode) {
   EXPECT_DEATH((void)decode(oversized), "malformed");
 }
 
+// Messages only the coordinator receives have no fatal decode(): the same
+// two corruptions must make try_decode refuse them.
+template <typename Msg>
+void expect_try_decode_bounds_checked(const Msg& msg) {
+  const scp::Message wire = msg.encode(0);
+  ASSERT_GT(wire.payload.size(), 3u);
+
+  scp::Message truncated = wire;
+  truncated.payload.resize(truncated.payload.size() - 3);
+  EXPECT_FALSE(Msg::try_decode(truncated).has_value());
+
+  scp::Message oversized = wire;
+  oversized.payload.push_back(0xAB);
+  EXPECT_FALSE(Msg::try_decode(oversized).has_value());
+}
+
 TEST(MalformedPayloadTest, TileAssignBoundsChecked) {
   TileAssignMsg msg;
   msg.tile = {3, 40, 10, 320, 105};
@@ -200,8 +214,7 @@ TEST(MalformedPayloadTest, ScreenResultBoundsChecked) {
   msg.tile = {1, 0, 5, 64, 16};
   msg.unique_count = 9;
   msg.vectors = {0.5f, 0.25f};
-  expect_decode_bounds_checked(
-      msg, [](const scp::Message& m) { return ScreenResultMsg::decode(m); });
+  expect_try_decode_bounds_checked(msg);
 }
 
 TEST(MalformedPayloadTest, CovShardBoundsChecked) {
@@ -216,8 +229,7 @@ TEST(MalformedPayloadTest, CovShardBoundsChecked) {
 TEST(MalformedPayloadTest, CovSumBoundsChecked) {
   CovSumMsg msg;
   msg.accumulator = {1, 2, 3, 4, 5, 6, 7, 8};
-  expect_decode_bounds_checked(
-      msg, [](const scp::Message& m) { return CovSumMsg::decode(m); });
+  expect_try_decode_bounds_checked(msg);
 }
 
 TEST(MalformedPayloadTest, TransformBoundsChecked) {
@@ -236,8 +248,7 @@ TEST(MalformedPayloadTest, ColorTileBoundsChecked) {
   ColorTileMsg msg;
   msg.tile = {7, 8, 2, 4, 16};
   msg.rgb = {255, 0, 128, 1, 2, 3};
-  expect_decode_bounds_checked(
-      msg, [](const scp::Message& m) { return ColorTileMsg::decode(m); });
+  expect_try_decode_bounds_checked(msg);
 }
 
 TEST(MessagesTest, DeclaredBytesDefaultsToPayload) {

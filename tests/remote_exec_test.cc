@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "core/parallel/parallel_pct.h"
 #include "core/pct.h"
 #include "hsi/scene.h"
+#include "linalg/stats.h"
 #include "scp/wire.h"
 #include "service/remote_exec.h"
 
@@ -263,6 +266,95 @@ TEST(RemoteExecTest, HostileAndStaleFramesAreDroppedNotTrusted) {
 
   pool.stop();
   hostile.join();
+}
+
+/// A worker that takes no tiles and answers every covariance shard twice,
+/// both times with a well-formed sum the job cannot use: once computed
+/// against a perturbed mean, once with the wrong dimensionality. Neither
+/// may reach the shard-order merge (whose dims/mean checks abort); the
+/// shard must stay owed until its deadline re-sends it elsewhere.
+void mismatched_sum_worker(int fd) {
+  net::SocketClient client;
+  client.adopt(fd);
+  scp::WireEnvelope hello;
+  hello.kind = scp::FrameKind::kHello;
+  hello.payload = scp::HelloBody{}.encode();
+  ASSERT_TRUE(client.send_frame(hello.encode()));
+  scp::JobStartBody job;
+  std::vector<std::uint8_t> frame;
+  while (client.read_frame(frame)) {
+    const scp::WireEnvelope env = scp::WireEnvelope::decode(frame);
+    if (env.kind == scp::FrameKind::kJobStart) {
+      job = scp::JobStartBody::decode(env.payload);
+      continue;
+    }
+    if (env.kind != scp::FrameKind::kApp ||
+        env.msg_type != core::kCovShard) {
+      continue;
+    }
+    const auto tag = static_cast<std::uint64_t>(job.job_id);
+    const core::CovShardMsg shard =
+        core::CovShardMsg::decode(env.to_message());
+
+    core::CovShardMsg perturbed = shard;
+    perturbed.mean[0] = std::nextafter(perturbed.mean[0], 1e9);
+    const core::CovSumMsg wrong_mean =
+        core::cov_shard_sum(perturbed, job.bands);
+
+    // One extra band: every member padded with a zero, the mean too.
+    const int dims = job.bands + 1;
+    std::vector<double> mean = shard.mean;
+    mean.push_back(0.0);
+    linalg::CovarianceAccumulator acc(dims, mean);
+    std::vector<float> member(static_cast<std::size_t>(dims), 0.0f);
+    for (std::uint64_t i = 0; i < shard.shard_count; ++i) {
+      std::copy_n(shard.vectors.begin() + i * job.bands, job.bands,
+                  member.begin());
+      acc.add(member);
+    }
+    core::CovSumMsg wrong_dims;
+    wrong_dims.shard_index = shard.shard_index;
+    wrong_dims.accumulator = acc.encode();
+
+    for (const core::CovSumMsg& sum : {wrong_mean, wrong_dims}) {
+      ASSERT_TRUE(client.send_frame(
+          app_frame(tag, core::kCovSum, sum.encode(0).payload).encode()));
+    }
+  }
+  client.close();
+}
+
+TEST(RemoteExecTest, MismatchedCovSumIsRefusedAndTheShardResent) {
+  const auto scene = test_scene();
+  const int total_tiles = 6;
+
+  cluster::RemoteWorkerPool pool;
+  pool.start(/*first_node_id=*/100);
+  pool.spawn_local_worker();
+  pool.spawn_local_worker();
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  pool.adopt_fd(sv[0]);
+  std::thread rogue([fd = sv[1]] { mismatched_sum_worker(fd); });
+  ASSERT_EQ(pool.wait_for_workers(3, 10.0), 3);
+
+  RemoteExecParams params;
+  params.cube = &scene.cube;
+  params.total_tiles = total_tiles;
+  params.job_id = 9;
+  params.shard_deadline_seconds = 0.25;
+  params.deadline_seconds = 30.0;
+  const RemoteExecResult real =
+      execute_remote_job(pool, {0, 1, 2}, params);
+  pool.stop();
+  rogue.join();
+
+  ASSERT_TRUE(real.completed);
+  EXPECT_GE(real.shards_resent, 1);
+  EXPECT_EQ(real.shards, 3);
+  const core::PctResult ref = reference_result(scene, 3, total_tiles);
+  EXPECT_EQ(real.composite.data, ref.composite.data);
+  EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
 }
 
 TEST(RemoteExecTest, MalformedEnvelopeClosesSessionNotProcess) {
