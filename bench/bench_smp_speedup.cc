@@ -64,7 +64,6 @@ int main() {
     pcfg.threads = threads;
     pcfg.tiles = 32;
     pcfg.cov_shards = 8;
-    pcfg.parallel_merge = true;  // the shared-memory variant's merge
     const auto start = std::chrono::steady_clock::now();
     const auto result = core::fuse_parallel(scene.cube, pcfg);
     const auto end = std::chrono::steady_clock::now();

@@ -133,6 +133,9 @@ std::vector<MergedTile> Coordinator::screen_result(int worker,
        it = pending_.find(merged_tiles_)) {
     MergedTile m{it->second.unique_count, 0};
     if (p_.mode == ExecutionMode::kFull) {
+      // merge() trusts the members to be mutually distinct under the
+      // job's threshold, as screen_shard makes them. That adds no trust:
+      // a worker that lies can already return any members it likes.
       global_->merge(UniqueSet::from_flat(bands_, p_.screening_threshold,
                                           std::move(it->second.vectors)),
                      &m.comparisons);

@@ -9,62 +9,6 @@
 
 namespace rif::core {
 
-namespace {
-
-/// Blocked-concurrent unique-set fold: merges `other` into `unique` with
-/// the admission decisions (and member order) of the sequential left fold,
-/// but screens each block of candidates against the frozen member prefix
-/// concurrently; only the comparisons against members admitted after the
-/// freeze — at most a block's worth — run in fold order. The dominant cost
-/// (candidate x full-set comparisons) thus parallelizes while the
-/// data-dependent tail stays tiny, lifting the two-pass engine's main
-/// Amdahl bottleneck. Results are independent of the pool's thread count.
-/// `dropped[i]` is set for each rejected member.
-void merge_blocked(UniqueSet& unique, const UniqueSet& other,
-                   ThreadPool& pool, std::vector<std::uint8_t>& dropped,
-                   std::uint64_t* comparisons) {
-  const std::size_t n = other.size();
-  dropped.assign(n, 0);
-  constexpr std::size_t kBlock = 64;
-  std::vector<std::uint8_t> hit(std::min(kBlock, n));
-  std::uint64_t comps = 0;
-  std::atomic<std::uint64_t> scan_comps{0};
-  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-    const std::size_t count = std::min(kBlock, n - b0);
-    const std::size_t frozen = unique.size();
-    if (frozen > 0) {
-      pool.parallel_for(
-          static_cast<std::int64_t>(count),
-          [&](std::int64_t lo, std::int64_t hi) {
-            std::uint64_t local = 0;
-            for (std::int64_t c = lo; c < hi; ++c) {
-              const std::size_t i = b0 + static_cast<std::size_t>(c);
-              hit[c] = unique.any_within(other.member(i), other.inv_norm(i),
-                                         0, frozen, &local)
-                           ? 1
-                           : 0;
-            }
-            scan_comps += local;
-          });
-    } else {
-      std::fill_n(hit.begin(), count, 0);
-    }
-    for (std::size_t c = 0; c < count; ++c) {
-      const std::size_t i = b0 + c;
-      if (hit[c] != 0 ||
-          unique.any_within(other.member(i), other.inv_norm(i), frozen,
-                            unique.size(), &comps)) {
-        dropped[i] = 1;
-        continue;
-      }
-      unique.admit(other.member(i), other.inv_norm(i));
-    }
-  }
-  if (comparisons != nullptr) *comparisons += comps + scan_comps.load();
-}
-
-}  // namespace
-
 void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
                          const UniqueSet& tile_set,
                          const linalg::MomentAccumulator& tile_moments,
@@ -72,7 +16,7 @@ void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
                          std::uint64_t* merge_comparisons) {
   const int bands = unique.bands();
   const std::size_t admit_start = unique.size();
-  merge_blocked(unique, tile_set, pool, dropped, merge_comparisons);
+  unique.merge(tile_set, merge_comparisons, &pool, &dropped);
   const std::size_t admits = unique.size() - admit_start;
   const std::size_t drops = tile_set.size() - admits;
   if (drops <= admits) {
@@ -114,36 +58,13 @@ PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
   });
   result.screen_comparisons = comparisons.load();
 
-  // Step 2: merge the per-tile sets. Sequential left fold in tile order
-  // matches the distributed manager bit-for-bit; the parallel tree merge
-  // trades that for scalability on real multiprocessors.
+  // Step 2: fold the per-tile sets in tile order, each one tested against
+  // the set so far on the pool (UniqueSet::merge); this matches the
+  // distributed manager bit-for-bit.
   UniqueSet unique(bands, config.pct.screening_threshold);
-  std::atomic<std::uint64_t> merge_comparisons{0};
-  if (config.parallel_merge && tile_sets.size() > 1) {
-    std::vector<UniqueSet> level = std::move(tile_sets);
-    while (level.size() > 1) {
-      const int pairs = static_cast<int>(level.size() / 2);
-      pool.parallel_tasks(pairs, [&](int i) {
-        std::uint64_t local = 0;
-        level[2 * i].merge(level[2 * i + 1], &local);
-        merge_comparisons += local;
-      });
-      // Survivors are the even slots; an unpaired trailing set (odd count)
-      // is an even slot too and rides along to the next level.
-      std::vector<UniqueSet> next;
-      next.reserve((level.size() + 1) / 2);
-      for (std::size_t i = 0; i < level.size(); i += 2) {
-        next.push_back(std::move(level[i]));
-      }
-      level = std::move(next);
-    }
-    unique = std::move(level.front());
-  } else {
-    std::uint64_t local = 0;
-    for (const auto& set : tile_sets) unique.merge(set, &local);
-    merge_comparisons += local;
+  for (const auto& set : tile_sets) {
+    unique.merge(set, &result.merge_comparisons, &pool);
   }
-  result.merge_comparisons = merge_comparisons.load();
   result.unique_set_size = unique.size();
   RIF_CHECK_MSG(unique.size() >= 3, "degenerate scene: unique set too small");
 
@@ -265,15 +186,14 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   result.screen_comparisons = comparisons.load();
   if (traced) tracer.end("fused_screen", trace_job);
 
-  // Merge with the blocked-concurrent fold. The first tile is admitted
-  // wholesale: its members are mutually distinct under the same threshold,
-  // so the fold would accept every one. For later tiles the moment sums
-  // follow the cheaper of two exact bookkeeping paths: retract the dropped
-  // members from the tile's sums, or rebuild the tile's contribution from
-  // the admitted members (contiguous in the merged set's flat storage, so
-  // the blocked kernel applies). Either way the surviving sums are exactly
-  // those of the merged unique set, and `parallel_merge` is moot — this
-  // merge parallelizes while preserving the sequential fold's order.
+  // Fold the tiles in order. The first tile is admitted wholesale: its
+  // members are mutually distinct under the same threshold, so the fold
+  // would accept every one. For later tiles the moment sums follow the
+  // cheaper of two exact bookkeeping paths: retract the dropped members
+  // from the tile's sums, or rebuild the tile's contribution from the
+  // admitted members (contiguous in the merged set's flat storage, so the
+  // blocked kernel applies). Either way the surviving sums are exactly
+  // those of the merged unique set.
   UniqueSet unique = std::move(tile_sets.front());
   linalg::MomentAccumulator total = std::move(tile_moments.front());
   std::vector<std::uint8_t> dropped;

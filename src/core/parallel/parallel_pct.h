@@ -28,12 +28,6 @@ struct ParallelPctConfig {
   /// grouping affects floating-point rounding, so fix this (e.g. to the
   /// distributed worker count) when bit-exact comparison matters.
   int cov_shards = 0;
-  /// Merge the per-tile unique sets as a parallel pairwise tree instead of
-  /// a sequential left fold. Lifts the main Amdahl bottleneck on real
-  /// multiprocessors; the resulting set is a valid unique set but differs
-  /// from the sequential fold's member order, so leave this off when
-  /// comparing against distributed runs bit-for-bit.
-  bool parallel_merge = false;
 };
 
 /// Fuse a cube with a caller-provided pool (reusable across calls).
@@ -47,12 +41,11 @@ PctResult fuse_parallel(const hsi::ImageCube& cube,
 /// Fused single-pass engine: each tile worker screens its pixels AND
 /// accumulates the tile's moment sums (mean + covariance about a common
 /// provisional origin, cache-blocked) in ONE sweep, so the unique set is
-/// never re-read after screening. The merge is a blocked-concurrent fold —
-/// candidates screen against the frozen member prefix in parallel while
-/// admission stays in fold order — and keeps the moment sums exact by
-/// either retracting dropped members or rebuilding from admitted ones,
-/// whichever is cheaper. The covariance is then corrected against the
-/// final global mean (see linalg::MomentAccumulator), and the
+/// never re-read after screening. The merge is the same in-order fold as
+/// fuse_parallel's (UniqueSet::merge on the pool) and keeps the moment
+/// sums exact by either retracting dropped members or rebuilding from
+/// admitted ones, whichever is cheaper. The covariance is then corrected
+/// against the final global mean (see linalg::MomentAccumulator), and the
 /// transform/colour-map stage reuses the same row tiling.
 ///
 /// With the same tile count this follows the same screening order and
@@ -61,9 +54,7 @@ PctResult fuse_parallel(const hsi::ImageCube& cube,
 /// identical — and computes the same composite up to floating-point
 /// rounding of the moment correction (per-pixel tolerance, not
 /// bit-for-bit). `cov_shards` is ignored (covariance sharding is
-/// replaced by per-tile accumulation); `parallel_merge` is ignored (the
-/// blocked fold already parallelizes the merge without reordering
-/// members).
+/// replaced by per-tile accumulation).
 PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
                               const ParallelPctConfig& config);
 
@@ -75,15 +66,14 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube,
 /// fuse_parallel_fused and the out-of-core StreamingFusionEngine: fold one
 /// tile's unique set AND its moment sums into the running global pair.
 ///
-/// The set fold is the blocked-concurrent variant — candidates screen
-/// against the frozen member prefix in parallel on `pool`, admissions stay
-/// in sequential fold order, so the merged set is identical to a
-/// sequential left fold (and independent of the pool's thread count). The
-/// surviving moment sums are kept exact by the cheaper of two paths:
-/// retract the dropped members from the tile's sums, or rebuild the tile's
-/// contribution from the admitted members. Both accumulators must share
-/// the same origin. `dropped` is caller-owned scratch (reused across
-/// calls); `merge_comparisons`, if non-null, accrues angle evaluations.
+/// The set fold is UniqueSet::merge on `pool`, so the merged set is the
+/// one every other engine's in-order fold produces, whatever the pool's
+/// thread count. The surviving moment sums are kept exact by the cheaper
+/// of two paths: retract the dropped members from the tile's sums, or
+/// rebuild the tile's contribution from the admitted members. Both
+/// accumulators must share the same origin. `dropped` is caller-owned
+/// scratch (reused across calls); `merge_comparisons`, if non-null,
+/// accrues the member-by-member comparison count.
 void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
                          const UniqueSet& tile_set,
                          const linalg::MomentAccumulator& tile_moments,

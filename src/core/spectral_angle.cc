@@ -1,9 +1,11 @@
 #include "core/spectral_angle.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
+#include "core/parallel/thread_pool.h"
 #include "linalg/kernels.h"
 #include "support/check.h"
 
@@ -114,11 +116,55 @@ bool UniqueSet::screen(std::span<const float> pixel,
   return true;
 }
 
-void UniqueSet::merge(const UniqueSet& other, std::uint64_t* comparisons) {
-  RIF_CHECK(other.bands_ == bands_);
-  for (std::size_t i = 0; i < other.count_; ++i) {
-    screen(other.member(i), comparisons);
+void UniqueSet::merge(const UniqueSet& other, std::uint64_t* comparisons,
+                      ThreadPool* pool, std::vector<std::uint8_t>* dropped) {
+  RIF_CHECK_MSG(other.bands_ == bands_ && other.threshold_ == threshold_,
+                "merging a unique set of other bands or threshold");
+  const std::size_t n = other.count_;
+  const std::size_t frozen = count_;
+  std::vector<std::uint8_t> own_hits;
+  std::vector<std::uint8_t>& hit = dropped != nullptr ? *dropped : own_hits;
+  hit.assign(n, 0);
+
+  // Test every member of `other` against the frozen prefix; nothing is
+  // admitted until all tests are done, so the prefix is read-only here.
+  // Hits end a scan early, so threads pull small chunks from a shared
+  // cursor rather than take one fixed range each.
+  std::atomic<std::uint64_t> scanned{0};
+  const auto scan = [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t local = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      hit[i] = any_within(other.member(i), other.inv_norms_[i], 0, frozen,
+                          &local)
+                   ? 1
+                   : 0;
+    }
+    scanned += local;
+  };
+  constexpr std::size_t kGrain = 16;
+  if (frozen == 0) {
+    // Nothing to hit: every member is admitted.
+  } else if (pool != nullptr && n > kGrain) {
+    std::atomic<std::size_t> cursor{0};
+    pool->parallel_tasks(pool->size(), [&](int) {
+      for (std::size_t lo = cursor.fetch_add(kGrain); lo < n;
+           lo = cursor.fetch_add(kGrain)) {
+        scan(lo, std::min(lo + kGrain, n));
+      }
+    });
+  } else {
+    scan(0, n);
   }
+
+  // Admit the misses in order. Member-by-member screening would also have
+  // scanned, and missed, every member admitted from `other` before it.
+  std::uint64_t tail = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (hit[i] != 0) continue;
+    tail += count_ - frozen;
+    admit(other.member(i), other.inv_norms_[i]);
+  }
+  if (comparisons != nullptr) *comparisons += scanned.load() + tail;
 }
 
 UniqueSet UniqueSet::from_flat(int bands, double threshold_radians,

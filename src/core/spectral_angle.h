@@ -20,6 +20,8 @@
 
 namespace rif::core {
 
+class ThreadPool;
+
 /// Spectral angle in radians between two equal-length vectors.
 double spectral_angle(std::span<const float> x, std::span<const float> y);
 
@@ -34,27 +36,35 @@ class UniqueSet {
   /// both the Full-mode cost charging and the cost-model calibration.
   bool screen(std::span<const float> pixel, std::uint64_t* comparisons = nullptr);
 
-  /// Merge another set member-by-member under this set's threshold
-  /// (the manager's step 2).
-  void merge(const UniqueSet& other, std::uint64_t* comparisons = nullptr);
+  /// Fold `other` into this set in member order (the manager's step 2):
+  /// the result, `comparisons` included, equals screen()ing each member of
+  /// `other` in turn.
+  ///
+  /// Precondition: `other` is a unique set under the same bands and
+  /// threshold, built by screen() (or shipped from one, via from_flat).
+  /// Then each member of `other` already missed every earlier member of
+  /// `other` under the same kernel and the same cosine expression, so it
+  /// can only hit the members this set held before the fold. Those are
+  /// tested for every member at once — on `pool` when given, each thread
+  /// reading the frozen prefix — and the misses are admitted afterwards
+  /// in `other`'s order. The result does not depend on the pool's size.
+  ///
+  /// `comparisons` accrues the member-by-member count: a hit at member h
+  /// counts h+1, a miss counts the pre-fold size plus the members of
+  /// `other` admitted before it. `dropped`, if non-null, is resized to
+  /// other.size() and flags each member that was not admitted.
+  void merge(const UniqueSet& other, std::uint64_t* comparisons = nullptr,
+             ThreadPool* pool = nullptr,
+             std::vector<std::uint8_t>* dropped = nullptr);
 
   /// True if any member in [begin_member, end_member) lies within the
-  /// threshold angle of `pixel` (`pixel_inv_norm` = 1/|pixel|). The
-  /// screening primitive, exposed so callers can split one candidate's
-  /// membership test across member ranges (e.g. a frozen prefix scanned
-  /// concurrently and a small tail scanned in fold order).
+  /// threshold angle of `pixel` (`pixel_inv_norm` = 1/|pixel|); the
+  /// screening primitive behind screen() and merge().
   [[nodiscard]] bool any_within(std::span<const float> pixel,
                                 double pixel_inv_norm,
                                 std::size_t begin_member,
                                 std::size_t end_member,
                                 std::uint64_t* comparisons = nullptr) const;
-
-  /// Append a member WITHOUT screening. The caller vouches that `pixel`
-  /// exceeds the threshold angle to every current member.
-  void admit(std::span<const float> pixel, double inv_norm);
-
-  /// Cached 1/|member(i)|.
-  [[nodiscard]] double inv_norm(std::size_t i) const { return inv_norms_[i]; }
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] int bands() const { return bands_; }
@@ -72,6 +82,9 @@ class UniqueSet {
   [[nodiscard]] double min_angle_to(std::span<const float> pixel) const;
 
  private:
+  /// Append a member WITHOUT screening; `inv_norm` = 1/|pixel|.
+  void admit(std::span<const float> pixel, double inv_norm);
+
   /// Mirror `pixel` into lane `count_ % 8` of the SoA pack (see pack_).
   void pack_member(std::span<const float> pixel);
 

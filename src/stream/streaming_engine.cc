@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -35,7 +36,7 @@ struct ChunkBuffer {
   int line0 = 0;
   int rows = 0;
   std::vector<float> data;         // rows * samples * bands, BIP
-  std::uint64_t alloc_bytes = 0;   // capacity high-water (peak tracking)
+  std::uint64_t alloc_bytes = 0;   // capacity, as counted in live_bytes
   double read_seconds = 0.0;       // this fill's read_lines time (autotune)
 };
 
@@ -85,6 +86,25 @@ StreamingStats stats_view(const runtime::MetricsRegistry& reg) {
   return s;
 }
 
+/// The buffer geometry both sides of a pass move. The reader picks each
+/// fill's width and accounts the buffer's growth; the consumer retunes the
+/// width and retires, trims and activates buffers. Each side's step runs
+/// under `mu`, so an activation check always sees the growth of every fill
+/// whose width is already picked, and the next fill sees the new width.
+struct BufferGeometry {
+  std::mutex mu;
+  int chunk_lines = 0;          ///< lines of the NEXT fill
+  std::uint64_t live_bytes = 0; ///< capacity of every chunk buffer, both passes
+};
+
+/// Release a buffer's memory and drop it from the live count. Assigning
+/// `{}` would keep the capacity.
+void release(ChunkBuffer& buf, BufferGeometry& geometry) {
+  geometry.live_bytes -= buf.alloc_bytes;
+  buf.alloc_bytes = 0;
+  std::vector<float>().swap(buf.data);
+}
+
 /// Shared state of one reader pass. The reader is a dedicated std::thread:
 /// it must never borrow the compute pool, or a pool blocked in pop() could
 /// starve the very stage that would refill it (see bounded_queue.h).
@@ -93,17 +113,11 @@ struct ReaderPass {
   std::vector<ChunkBuffer>* buffers = nullptr;
   BoundedQueue<int>* free_q = nullptr;
   BoundedQueue<int>* full_q = nullptr;
-  /// Lines of the NEXT chunk — reread every iteration, so the autotuner
-  /// (on the consumer side) retunes a live pass with at most queue_depth
-  /// chunks of lag.
-  const std::atomic<int>* chunk_lines = nullptr;
+  /// Reread every fill, so the autotuner (on the consumer side) retunes a
+  /// live pass with at most queue_depth chunks of lag. Owned by the engine
+  /// so the live count (and the peak gauge) spans both passes.
+  BufferGeometry* geometry = nullptr;
   RunMetrics* metrics = nullptr;
-  /// Live chunk-buffer bytes, owned by the engine so it survives (and the
-  /// peak gauge spans) both passes and any pass-boundary depth change.
-  /// Atomic because during an autotuned pass BOTH sides move it: the
-  /// reader grows it as buffers widen while the consumer shrinks it
-  /// retiring/trimming buffers and reads it in the activation guard.
-  std::atomic<std::uint64_t>* live_buffer_bytes = nullptr;
   /// Job attribution for the reader thread's spans — the reader runs
   /// outside the consumer's JobScope, so the id travels explicitly.
   std::int64_t trace_job = obs::kNoJob;
@@ -114,20 +128,28 @@ struct ReaderPass {
     const int lines = reader->lines();
     int line0 = 0;
     while (line0 < lines) {
-      const int want = std::max(
-          1, std::min(chunk_lines->load(std::memory_order_relaxed),
-                      lines - line0));
       const auto idx = free_q->pop();
       if (!idx) return;  // aborted by the consumer
       ChunkBuffer& buf = (*buffers)[static_cast<std::size_t>(*idx)];
       buf.line0 = line0;
-      buf.rows = want;
-      // Grow to EXACTLY the needed footprint: resize()'s geometric growth
-      // would otherwise hand a widening (autotuned) chunk up to 2x its
-      // nominal bytes and quietly break the memory clamp.
-      const auto needed = static_cast<std::size_t>(
-          reader->chunk_bytes(buf.rows) / sizeof(float));
-      if (buf.data.capacity() < needed) buf.data.reserve(needed);
+      {
+        // Account the growth BEFORE the buffer grows and the read runs.
+        const std::lock_guard<std::mutex> lock(geometry->mu);
+        buf.rows =
+            std::max(1, std::min(geometry->chunk_lines, lines - line0));
+        const std::uint64_t needed = reader->chunk_bytes(buf.rows);
+        if (needed > buf.alloc_bytes) {
+          geometry->live_bytes += needed - buf.alloc_bytes;
+          buf.alloc_bytes = needed;
+          metrics->peak_buffer_bytes.record(
+              static_cast<double>(geometry->live_bytes));
+        }
+      }
+      // Grow to EXACTLY the accounted footprint: resize()'s geometric
+      // growth would otherwise hand a widening (autotuned) chunk up to 2x
+      // its nominal bytes and quietly break the memory clamp.
+      const std::size_t floats = buf.alloc_bytes / sizeof(float);
+      if (buf.data.capacity() < floats) buf.data.reserve(floats);
       const auto t0 = clock::now();
       bool ok;
       {
@@ -144,17 +166,7 @@ struct ReaderPass {
       metrics->bytes_read.add(reader->chunk_bytes(buf.rows));
       metrics->chunk_bytes.record(
           static_cast<double>(reader->chunk_bytes(buf.rows)));
-      const auto cap_bytes =
-          static_cast<std::uint64_t>(buf.data.capacity()) * sizeof(float);
-      if (cap_bytes > buf.alloc_bytes) {
-        const std::uint64_t live =
-            live_buffer_bytes->fetch_add(cap_bytes - buf.alloc_bytes,
-                                         std::memory_order_relaxed) +
-            (cap_bytes - buf.alloc_bytes);
-        buf.alloc_bytes = cap_bytes;
-        metrics->peak_buffer_bytes.record(static_cast<double>(live));
-      }
-      line0 += want;
+      line0 += buf.rows;
       if (!full_q->push(*idx)) return;  // aborted by the consumer
     }
     full_q->close();  // end-of-stream (or I/O error): drain and stop
@@ -201,8 +213,7 @@ class ReaderThread {
 /// exceeds the memory clamp) or activates an idle one.
 bool run_reader_pass(hsi::ChunkedCubeReader& reader,
                      std::vector<ChunkBuffer>& buffers,
-                     std::atomic<int>& chunk_lines, RunMetrics& metrics,
-                     std::atomic<std::uint64_t>& live_buffer_bytes,
+                     BufferGeometry& geometry, RunMetrics& metrics,
                      int& active_depth,
                      std::uint64_t memory_budget,
                      runtime::ChunkAutotuner* tuner, std::int64_t trace_job,
@@ -220,12 +231,8 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
     if (i < active_depth) {
       free_q.push(i);
     } else {
-      // Not part of this pass (depth shrank since the buffer last ran):
-      // release its memory and drop it from the live accounting.
-      ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
-      live_buffer_bytes.fetch_sub(buf.alloc_bytes, std::memory_order_relaxed);
-      buf.alloc_bytes = 0;
-      buf.data = {};
+      // Not part of this pass (depth shrank since the buffer last ran).
+      release(buffers[static_cast<std::size_t>(i)], geometry);
       idle.push_back(i);
     }
   }
@@ -235,9 +242,8 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
   pass.buffers = &buffers;
   pass.free_q = &free_q;
   pass.full_q = &full_q;
-  pass.chunk_lines = &chunk_lines;
+  pass.geometry = &geometry;
   pass.metrics = &metrics;
-  pass.live_buffer_bytes = &live_buffer_bytes;
   pass.trace_job = trace_job;
   ReaderThread reader_thread(pass);
 
@@ -261,45 +267,48 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
       reader_stall_seen = reader_stall;
       compute_stall_seen = compute_stall;
       tuner->observe(obs);
+      const std::lock_guard<std::mutex> lock(geometry.mu);
       if (tuner->queue_depth() < active_depth) {
         // Retire the buffer we exclusively hold: free its memory FIRST,
-        // then publish the (possibly wider) chunk_lines below.
-        live_buffer_bytes.fetch_sub(buf.alloc_bytes,
-                                    std::memory_order_relaxed);
-        buf.alloc_bytes = 0;
-        buf.data = {};
+        // then publish the (possibly wider) chunk_lines.
+        release(buf, geometry);
         idle.push_back(*idx);
         --active_depth;
-        chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
+        geometry.chunk_lines = tuner->chunk_lines();
         continue;  // this index does not rejoin the free queue
       }
       // After a shrink decision, recycled buffers still carry their old
-      // wider capacity. Trim the one we hold to the CURRENT nominal
-      // chunk before it recirculates — otherwise the live accounting
-      // stays pinned at the old width and a later depth increase would
-      // stack new buffers on top of stale ones, past the memory clamp.
-      const std::uint64_t nominal =
-          reader.chunk_bytes(chunk_lines.load(std::memory_order_relaxed));
+      // wider capacity. Trim the one we hold to the width it is refilled
+      // at before it recirculates — otherwise the live accounting stays
+      // pinned at the old width and a later depth increase would stack
+      // new buffers on top of stale ones, past the memory clamp.
+      geometry.chunk_lines = tuner->chunk_lines();
+      const std::uint64_t nominal = reader.chunk_bytes(geometry.chunk_lines);
       if (buf.alloc_bytes > nominal) {
-        live_buffer_bytes.fetch_sub(buf.alloc_bytes - nominal,
-                                    std::memory_order_relaxed);
-        std::vector<float>().swap(buf.data);
+        release(buf, geometry);
         buf.data.reserve(static_cast<std::size_t>(nominal / sizeof(float)));
         buf.alloc_bytes = nominal;
+        geometry.live_bytes += nominal;
       }
-      if (tuner->queue_depth() > active_depth && !idle.empty() &&
-          (memory_budget == 0 ||
-           live_buffer_bytes.load(std::memory_order_relaxed) + nominal <=
-               memory_budget)) {
-        // Activate read-ahead only when the ACTUAL live bytes (which may
-        // still include not-yet-trimmed wide buffers) leave room for one
-        // more nominal chunk — the tuner's check is against nominal
-        // geometry, this one is against reality.
-        free_q.push(idle.back());
-        idle.pop_back();
-        ++active_depth;
+      if (tuner->queue_depth() > active_depth && !idle.empty()) {
+        // Activate read-ahead only when the buffers' ACTUAL bytes (which
+        // may still include not-yet-trimmed wide buffers) leave room for
+        // one more nominal chunk, counting the growth of every
+        // circulating buffer still narrower than its next fill — the
+        // tuner's check is against nominal geometry, this one is against
+        // reality.
+        std::uint64_t reach = nominal;
+        for (int i = 0; i < static_cast<int>(buffers.size()); ++i) {
+          if (std::find(idle.begin(), idle.end(), i) != idle.end()) continue;
+          reach += std::max(buffers[static_cast<std::size_t>(i)].alloc_bytes,
+                            nominal);
+        }
+        if (memory_budget == 0 || reach <= memory_budget) {
+          free_q.push(idle.back());
+          idle.pop_back();
+          ++active_depth;
+        }
       }
-      chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
     }
     free_q.push(*idx);
   }
@@ -341,11 +350,11 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
 
   runtime::MetricsRegistry reg;
   RunMetrics metrics{reg};
-  std::atomic<std::uint64_t> live_buffer_bytes{0};
+  BufferGeometry geometry;
 
   // Autotuned runs start from AutotuneConfig::initial_chunk_lines (the
   // configured chunk_lines when 0); fixed runs keep the configured
-  // geometry for the whole run (the atomic is then never written again).
+  // geometry for the whole run (chunk_lines is then never written again).
   std::optional<runtime::ChunkAutotuner> tuner;
   if (config.autotune.has_value()) {
     const int start = config.autotune->initial_chunk_lines > 0
@@ -354,8 +363,8 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
     tuner.emplace(*config.autotune, std::min(start, H), config.queue_depth,
                   static_cast<std::uint64_t>(W) * B * sizeof(float));
   }
-  std::atomic<int> chunk_lines{
-      tuner ? tuner->chunk_lines() : std::min(config.chunk_lines, H)};
+  geometry.chunk_lines =
+      tuner ? tuner->chunk_lines() : std::min(config.chunk_lines, H);
   // Autotuned runs allocate buffer STRUCTS up to the depth ceiling (memory
   // only materializes when a buffer circulates), so depth can move live;
   // fixed runs circulate exactly queue_depth.
@@ -453,8 +462,7 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       return screen_seconds + fold_seconds;
     };
     RIF_TRACE_SPAN_JOB("stream_pass1", trace_job);
-    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics,
-                         live_buffer_bytes, active_depth,
+    if (!run_reader_pass(*reader, buffers, geometry, metrics, active_depth,
                          tuner ? config.autotune->memory_budget : 0,
                          tuner ? &*tuner : nullptr, trace_job,
                          screen_chunk)) {
@@ -496,7 +504,7 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
   // veto a perfectly good move).
   if (tuner) {
     tuner->phase_boundary();
-    chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
+    geometry.chunk_lines = tuner->chunk_lines();
     active_depth = tuner->queue_depth();
   }
 
@@ -534,8 +542,7 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       return transform_seconds;
     };
     RIF_TRACE_SPAN_JOB("stream_pass2", trace_job);
-    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics,
-                         live_buffer_bytes, active_depth,
+    if (!run_reader_pass(*reader, buffers, geometry, metrics, active_depth,
                          tuner ? config.autotune->memory_budget : 0,
                          tuner ? &*tuner : nullptr, trace_job,
                          transform_chunk)) {

@@ -20,8 +20,8 @@
 //   pass 1  reader -> [BoundedQueue] -> per-chunk screen + moment sums
 //           (SIMD kernels via core::UniqueSet / linalg::MomentAccumulator,
 //           sub-tiled across the pool) folded in chunk order through
-//           core::fold_unique_moments — the same blocked-concurrent fold
-//           as fuse_parallel_fused, so the unique set is identical to an
+//           core::fold_unique_moments — the same in-order fold as
+//           fuse_parallel_fused, so the unique set is identical to an
 //           in-memory run with the same tile boundaries;
 //   barrier mean + covariance out of the moment sums, Jacobi eigen-solve;
 //   pass 2  reader (re-streams the file) -> blocked SIMD transform +

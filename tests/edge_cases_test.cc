@@ -83,29 +83,37 @@ TEST(FusionEdgeTest, ManyComponentsRequested) {
   EXPECT_EQ(result.component_planes.size(), 10u);
 }
 
-TEST(FusionEdgeTest, ParallelMergeProducesValidUniqueSet) {
+TEST(FusionEdgeTest, OddTileCountIsByteEqualAcrossThreadsAndToTheSim) {
+  // 7 tiles: the in-order fold must give the same bytes at every pool size
+  // and the same bytes as the distributed run (7 workers, one tile each,
+  // so 7 covariance shards on both sides).
   hsi::SceneConfig sc;
   sc.width = 48;
   sc.height = 48;
   sc.bands = 16;
   sc.seed = 12;
   const auto scene = hsi::generate_scene(sc);
-  core::ParallelPctConfig pcfg;
-  pcfg.threads = 4;
-  pcfg.tiles = 7;  // odd count exercises the tree's unpaired carry
-  pcfg.parallel_merge = true;
-  const auto result = core::fuse_parallel(scene.cube, pcfg);
-  EXPECT_GE(result.unique_set_size, 3u);
+  core::FusionJobConfig job;
+  job.mode = core::ExecutionMode::kFull;
+  job.cube = &scene.cube;
+  job.shape = {48, 48, 16};
+  job.workers = 7;
+  job.tiles_per_worker = 1;
+  job.deadline = from_seconds(10000);
+  const auto sim = run_fusion_job(job);
+  ASSERT_TRUE(sim.completed);
 
-  // Statistics must be close to the sequential-merge run.
-  pcfg.parallel_merge = false;
-  const auto reference = core::fuse_parallel(scene.cube, pcfg);
-  EXPECT_NEAR(result.eigenvalues[0], reference.eigenvalues[0],
-              0.1 * reference.eigenvalues[0]);
-  const double ratio = static_cast<double>(result.unique_set_size) /
-                       static_cast<double>(reference.unique_set_size);
-  EXPECT_GT(ratio, 0.7);
-  EXPECT_LT(ratio, 1.4);
+  core::ParallelPctConfig pcfg;
+  pcfg.tiles = 7;
+  pcfg.cov_shards = 7;
+  for (const int threads : {1, 4}) {
+    pcfg.threads = threads;
+    const auto r = core::fuse_parallel(scene.cube, pcfg);
+    EXPECT_EQ(r.composite.data, sim.outcome.composite.data) << threads;
+    EXPECT_EQ(r.eigenvalues, sim.outcome.eigenvalues) << threads;
+    EXPECT_EQ(r.unique_set_size, sim.outcome.unique_set_size) << threads;
+    EXPECT_EQ(r.merge_comparisons, sim.outcome.merge_comparisons) << threads;
+  }
 }
 
 // --- Partition healing ----------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -384,6 +385,121 @@ TEST(UniqueSetPackTest, FromFlatRebuildsIdenticalPack) {
         rebuilt.any_within(probe, inv, 0, rebuilt.size(), &comp_b);
     EXPECT_EQ(a, b) << "trial " << trial;
     EXPECT_EQ(comp_a, comp_b) << "trial " << trial;
+  }
+}
+
+// --- the premise of the in-order fold ----------------------------------------
+//
+// core::UniqueSet::merge never tests a tile's member against members
+// admitted earlier from the same tile: screen() already tested that pair
+// inside the tile, with the same kernel and cosine expression, and it
+// missed. That holds only if a lane's dot product depends on its member
+// and the candidate alone, not on the member's lane or on what the other
+// lanes of its block hold.
+
+/// A vector at `angle` radians from `m`, in a seeded direction.
+std::vector<float> at_angle(std::span<const float> m, double angle, Rng& rng) {
+  const std::size_t n = m.size();
+  std::vector<double> u(m.begin(), m.end());
+  std::vector<double> w(n);
+  double uu = 0.0;
+  for (const double x : u) uu += x * x;
+  for (auto& x : u) x /= std::sqrt(uu);
+  for (auto& x : w) x = rng.uniform(-1.0, 1.0);
+  double wu = 0.0;
+  for (std::size_t i = 0; i < n; ++i) wu += w[i] * u[i];
+  double ww = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] -= wu * u[i];
+    ww += w[i] * w[i];
+  }
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(std::cos(angle) * u[i] +
+                              std::sin(angle) * w[i] / std::sqrt(ww));
+  }
+  return v;
+}
+
+TEST(FoldPremiseTest, Dot8LaneValueIgnoresLaneAndNeighbours) {
+  const BackendGuard guard;
+  for (const std::string& tier : available_backends()) {
+    ASSERT_TRUE(set_backend(tier.c_str())) << tier;
+    for (const int n : {1, 2, 7, 8, 21, 105}) {
+      const auto member = random_floats(n, 3000 + n);
+      const auto pixel = random_floats(n, 3100 + n);
+      std::vector<double> seen;
+      for (int lane = 0; lane < kScreenLanes; ++lane) {
+        // Neighbours: zero (a partly filled last block), unit-scale noise,
+        // and magnitudes far above the member's.
+        for (const double scale : {0.0, 1.0, 1e6}) {
+          Rng rng(static_cast<std::uint64_t>(lane * 31 + n));
+          std::vector<float> pack(static_cast<std::size_t>(n) * kScreenLanes);
+          for (int b = 0; b < n; ++b) {
+            for (int k = 0; k < kScreenLanes; ++k) {
+              pack[static_cast<std::size_t>(b) * kScreenLanes + k] =
+                  k == lane ? member[b]
+                            : static_cast<float>(scale *
+                                                 rng.uniform(-1.0, 1.0));
+            }
+          }
+          double out[kScreenLanes];
+          dot8(pack.data(), pixel.data(), n, out);
+          seen.push_back(out[lane]);
+        }
+      }
+      for (const double v : seen) {
+        EXPECT_EQ(v, seen.front()) << tier << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FoldPremiseTest, AnyWithinIgnoresTheMembersLane) {
+  const BackendGuard guard;
+  const int n = 21;
+  const double threshold = 0.05;
+  for (const std::string& tier : available_backends()) {
+    ASSERT_TRUE(set_backend(tier.c_str())) << tier;
+    Rng rng(4242);
+    std::vector<float> target(static_cast<std::size_t>(n));
+    for (auto& v : target) v = static_cast<float>(rng.uniform(0.05, 1.0));
+    // Fillers point every which way: ~90 degrees from the target, the
+    // probes and each other, so they never hit.
+    std::vector<std::vector<float>> fillers;
+    for (int f = 0; f < kScreenLanes - 1; ++f) {
+      fillers.push_back(random_floats(n, 5000 + f));
+    }
+    for (const double angle : {threshold / 2, threshold - 1e-7,
+                               threshold + 1e-7, 2 * threshold}) {
+      const auto probe = at_angle(target, angle, rng);
+      const double inv = 1.0 / std::sqrt(dot(probe.data(), probe.data(), n));
+      std::vector<int> answers;
+      for (int lane = 0; lane < kScreenLanes; ++lane) {
+        core::UniqueSet set(n, threshold);
+        for (int f = 0; f < kScreenLanes - 1; ++f) {
+          if (f == lane) ASSERT_TRUE(set.screen(target));
+          ASSERT_TRUE(set.screen(fillers[static_cast<std::size_t>(f)]));
+        }
+        if (lane == kScreenLanes - 1) ASSERT_TRUE(set.screen(target));
+        ASSERT_EQ(set.size(), static_cast<std::size_t>(kScreenLanes));
+        std::uint64_t count = 0;
+        const bool hit = set.any_within(probe, inv, 0, set.size(), &count);
+        // Member-by-member: a hit on the target at `lane` counts lane+1.
+        EXPECT_EQ(count, hit ? static_cast<std::uint64_t>(lane) + 1
+                             : static_cast<std::uint64_t>(kScreenLanes))
+            << tier << " angle=" << angle << " lane=" << lane;
+        std::uint64_t own = 0;
+        EXPECT_EQ(set.any_within(probe, inv, lane, lane + 1, &own), hit);
+        EXPECT_EQ(own, 1u);
+        answers.push_back(hit ? 1 : 0);
+      }
+      for (const int a : answers) {
+        EXPECT_EQ(a, answers.front()) << tier << " angle=" << angle;
+      }
+      if (angle < threshold / 1.5) EXPECT_EQ(answers.front(), 1) << tier;
+      if (angle > threshold * 1.5) EXPECT_EQ(answers.front(), 0) << tier;
+    }
   }
 }
 

@@ -2,11 +2,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <optional>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "core/parallel/parallel_pct.h"
 #include "core/parallel/thread_pool.h"
+#include "core/spectral_angle.h"
 #include "hsi/scene.h"
+#include "linalg/kernels.h"
+#include "support/rng.h"
 
 namespace rif::core {
 namespace {
@@ -145,6 +152,145 @@ TEST(ThreadPoolTest, ConcurrentExternalCallersShareOnePool) {
   EXPECT_EQ(leaf.load(), 4 * 8 * 10);
 }
 
+// --- UniqueSet::merge: the in-order fold ------------------------------------
+
+/// A vector at `angle` radians from `m`, in a seeded direction.
+std::vector<float> at_angle(std::span<const float> m, double angle, Rng& rng) {
+  const std::size_t n = m.size();
+  std::vector<double> u(m.begin(), m.end());
+  std::vector<double> w(n);
+  double uu = 0.0;
+  for (const double x : u) uu += x * x;
+  for (auto& x : u) x /= std::sqrt(uu);
+  for (auto& x : w) x = rng.uniform(-1.0, 1.0);
+  double wu = 0.0;
+  for (std::size_t i = 0; i < n; ++i) wu += w[i] * u[i];
+  double ww = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] -= wu * u[i];
+    ww += w[i] * w[i];
+  }
+  const double scale = rng.uniform(0.5, 2.0);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(scale * (std::cos(angle) * u[i] +
+                                       std::sin(angle) * w[i] / std::sqrt(ww)));
+  }
+  return v;
+}
+
+/// The brute-force reference fold: screen() every member of `tile`, in
+/// order, into a copy of `global` — members admitted from `tile` included.
+struct ScreenedFold {
+  UniqueSet set;
+  std::vector<std::uint8_t> dropped;
+  std::uint64_t comparisons = 0;
+};
+
+ScreenedFold screen_each(const UniqueSet& global, const UniqueSet& tile) {
+  ScreenedFold r{global, {}, 0};
+  for (std::size_t i = 0; i < tile.size(); ++i) {
+    r.dropped.push_back(r.set.screen(tile.member(i), &r.comparisons) ? 0 : 1);
+  }
+  return r;
+}
+
+/// Seeded tiles, screened under the active kernel tier: a large tile (it
+/// folds into the empty set), a 1-member tile and an empty one, then
+/// large tiles that open with members at threshold +/- 1e-7 rad of
+/// earlier tiles' members. Every tile draws on one small palette of
+/// signatures, so later tiles both repeat members and add new ones.
+std::vector<UniqueSet> fold_case_tiles(int bands, double threshold,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> palette(24);
+  for (auto& sig : palette) {
+    sig.resize(static_cast<std::size_t>(bands));
+    for (auto& v : sig) v = static_cast<float>(rng.uniform(0.05, 1.0));
+  }
+  const auto near_palette = [&](UniqueSet& tile, int pixels) {
+    for (int p = 0; p < pixels; ++p) {
+      const auto& sig = palette[rng.uniform_u64(palette.size())];
+      tile.screen(at_angle(sig, rng.uniform(0.0, 3.0 * threshold), rng));
+    }
+  };
+  const auto borderline = [&](const UniqueSet& earlier, int k) {
+    const auto m = earlier.member(rng.uniform_u64(earlier.size()));
+    return at_angle(m, threshold + (k % 2 == 0 ? -1e-7 : 1e-7), rng);
+  };
+  std::vector<UniqueSet> tiles;
+  const auto any_earlier = [&]() -> const UniqueSet& {
+    for (;;) {
+      const UniqueSet& t = tiles[rng.uniform_u64(tiles.size())];
+      if (t.size() > 0) return t;
+    }
+  };
+  tiles.emplace_back(bands, threshold);
+  near_palette(tiles.back(), 120);
+  tiles.emplace_back(bands, threshold);
+  tiles.back().screen(borderline(tiles.front(), static_cast<int>(seed)));
+  tiles.emplace_back(bands, threshold);
+  for (int t = 0; t < 4; ++t) {
+    UniqueSet tile(bands, threshold);
+    for (int k = 0; k < 8; ++k) {
+      tile.screen(borderline(any_earlier(), k));
+    }
+    near_palette(tile, 120);
+    tiles.push_back(std::move(tile));
+  }
+  return tiles;
+}
+
+TEST(UniqueSetFoldTest, MatchesMemberByMemberScreeningOnEveryTierAndPool) {
+  struct RestoreTier {
+    ~RestoreTier() { linalg::kernels::reset_backend(); }
+  } restore;
+  const double threshold = 0.05;
+  std::uint64_t admitted = 0, dropped_total = 0;
+  for (const std::string& tier : linalg::kernels::available_backends()) {
+    ASSERT_TRUE(linalg::kernels::set_backend(tier.c_str())) << tier;
+    for (const int bands : {13, 24}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const auto tiles = fold_case_tiles(bands, threshold, seed * 97 + bands);
+        // 0 threads: no pool, the form the coordinator uses.
+        for (const int threads : {0, 1, 2, 3, 8}) {
+          std::optional<ThreadPool> pool;
+          if (threads > 0) pool.emplace(threads);
+          UniqueSet global(bands, threshold);
+          for (std::size_t t = 0; t < tiles.size(); ++t) {
+            const ScreenedFold want = screen_each(global, tiles[t]);
+            std::vector<std::uint8_t> dropped;
+            std::uint64_t comparisons = 0;
+            global.merge(tiles[t], &comparisons,
+                         pool ? &*pool : nullptr, &dropped);
+            const auto where = [&] {
+              return tier + " bands=" + std::to_string(bands) +
+                     " seed=" + std::to_string(seed) +
+                     " threads=" + std::to_string(threads) +
+                     " tile=" + std::to_string(t);
+            };
+            ASSERT_EQ(global.flat(), want.set.flat()) << where();
+            ASSERT_EQ(dropped, want.dropped) << where();
+            ASSERT_EQ(comparisons, want.comparisons) << where();
+            for (const std::uint8_t d : dropped) {
+              ++(d != 0 ? dropped_total : admitted);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: the folds both admitted and dropped members.
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(dropped_total, 0u);
+}
+
+TEST(UniqueSetFoldTest, RejectsASetOfAnotherThreshold) {
+  UniqueSet global(4, 0.05);
+  const UniqueSet other(4, 0.06);
+  EXPECT_DEATH(global.merge(other), "other bands or threshold");
+}
+
 // --- fuse_parallel ------------------------------------------------------------
 
 TEST(ParallelPctTest, SingleTileMatchesSequentialExactly) {
@@ -235,29 +381,6 @@ TEST(ParallelPctTest, MoreTilesThanRowsClampsToRowCount) {
   EXPECT_EQ(fused.composite.data.size(), r.composite.data.size());
 }
 
-TEST(ParallelPctTest, ParallelMergeMatchesSequentialFoldStatistics) {
-  // The pairwise tree visits members in a different order than the left
-  // fold, so the unique set may differ slightly — but the fused statistics
-  // must stay close and the output valid.
-  const auto scene = test_scene(48, 20, 77);
-  ParallelPctConfig config;
-  config.threads = 4;
-  config.tiles = 8;
-  config.parallel_merge = false;
-  const PctResult fold = fuse_parallel(scene.cube, config);
-  config.parallel_merge = true;
-  const PctResult tree = fuse_parallel(scene.cube, config);
-  ASSERT_EQ(tree.eigenvalues.size(), fold.eigenvalues.size());
-  EXPECT_NEAR(tree.eigenvalues[0], fold.eigenvalues[0],
-              0.15 * fold.eigenvalues[0]);
-  EXPECT_EQ(tree.composite.data.size(), fold.composite.data.size());
-  // Tree-merge membership is a valid unique set of the same scene: sizes
-  // agree to within a few members.
-  EXPECT_NEAR(static_cast<double>(tree.unique_set_size),
-              static_cast<double>(fold.unique_set_size),
-              0.2 * static_cast<double>(fold.unique_set_size) + 3.0);
-}
-
 class ParallelTileSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelTileSweep, AllGranularitiesProduceValidOutput) {
@@ -335,24 +458,6 @@ TEST(FusedPctTest, ThreadCountDoesNotChangeResult) {
   EXPECT_EQ(one.composite.data, eight.composite.data);
   EXPECT_EQ(one.eigenvalues, eight.eigenvalues);
   EXPECT_EQ(one.unique_set_size, eight.unique_set_size);
-}
-
-TEST(FusedPctTest, ParallelMergeFlagIsMootForFusedEngine) {
-  // The blocked fold already parallelizes the merge while preserving the
-  // sequential fold's member order, so the tree-merge flag changes nothing.
-  const auto scene = test_scene(48, 20, 77);
-  ParallelPctConfig config;
-  config.threads = 4;
-  config.tiles = 8;
-  config.parallel_merge = false;
-  const PctResult off = fuse_parallel_fused(scene.cube, config);
-  config.parallel_merge = true;
-  const PctResult on = fuse_parallel_fused(scene.cube, config);
-  EXPECT_EQ(on.composite.data, off.composite.data);
-  EXPECT_EQ(on.unique_set_size, off.unique_set_size);
-  EXPECT_GE(off.unique_set_size, 3u);
-  // Eigenvalues of a covariance matrix are non-negative (to rounding).
-  for (const double ev : off.eigenvalues) EXPECT_GT(ev, -1e-9);
 }
 
 TEST(FusedPctTest, SharedPoolNestedJobsProduceIdenticalResults) {
