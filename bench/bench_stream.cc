@@ -5,8 +5,9 @@
 //   * load-then-fuse — load_cube() followed by fuse_parallel_fused(), the
 //     whole-cube baseline every non-streaming engine implies, and
 //   * streamed      — stream::fuse_streaming() at several chunk sizes,
-//     where the reader thread overlaps disk I/O with screening/transform
-//     and in-flight memory is queue_depth chunk buffers.
+//     each run kRepeats times (median, min and max reported), where the
+//     reader thread overlaps disk I/O with screening/transform and
+//     in-flight memory is queue_depth chunk buffers.
 //
 // The acceptance bar: streamed fusion beats load-then-fuse wall time on
 // the bench scene (the load is serialized in front of compute in the
@@ -40,7 +41,6 @@
 #include "obs/flamegraph.h"
 #include "obs/span_tracer.h"
 #include "obs/trace_check.h"
-#include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 #include "service/service.h"
 #include "stream/streaming_engine.h"
@@ -66,11 +66,19 @@ std::uint64_t peak_rss_bytes() {
   return 0;
 }
 
+/// Runs per fixed chunk size: single runs of one size swing by up to 2x.
+constexpr int kRepeats = 5;
+
+/// One chunk size's repeated runs; `stats` are the median-wall run's.
 struct StreamRow {
   int chunk_lines = 0;
-  double wall_ms = 0.0;
+  std::vector<double> wall_ms;  // sorted ascending
   stream::StreamingStats stats;
   std::uint64_t rss_after = 0;
+
+  [[nodiscard]] double median_ms() const { return wall_ms[wall_ms.size() / 2]; }
+  [[nodiscard]] double min_ms() const { return wall_ms.front(); }
+  [[nodiscard]] double max_ms() const { return wall_ms.back(); }
 };
 
 }  // namespace
@@ -125,57 +133,45 @@ int main(int argc, char** argv) {
 
   // Streamed runs first: VmHWM is monotone, and the streamed phases are
   // the ones whose memory ceiling the numbers must vouch for.
+  // The first 48-line run records into `metrics_reg`: its snapshot is the
+  // METRICS_stream.json artifact.
   core::ThreadPool pool(threads);
+  runtime::MetricsRegistry metrics_reg;
   std::vector<StreamRow> rows;
   for (const int chunk_lines : chunk_sizes) {
-    stream::StreamingConfig cfg;
-    cfg.chunk_lines = chunk_lines;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto r = stream::fuse_streaming(path, pool, cfg);
-    const double wall = seconds_since(t0);
-    if (!r) {
-      std::printf("streaming run failed (chunk_lines=%d)\n", chunk_lines);
-      return 1;
-    }
     StreamRow row;
     row.chunk_lines = chunk_lines;
-    row.wall_ms = wall * 1e3;
-    row.stats = r->stats;
+    std::vector<std::pair<double, stream::StreamingStats>> runs;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      stream::StreamingConfig cfg;
+      cfg.chunk_lines = chunk_lines;
+      if (chunk_lines == 48 && rep == 0) cfg.metrics = &metrics_reg;
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto r = stream::fuse_streaming(path, pool, cfg);
+      const double wall = seconds_since(t0);
+      if (!r) {
+        std::printf("streaming run failed (chunk_lines=%d)\n", chunk_lines);
+        return 1;
+      }
+      runs.emplace_back(wall * 1e3, r->stats);
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& run : runs) row.wall_ms.push_back(run.first);
+    row.stats = runs[runs.size() / 2].second;
     row.rss_after = peak_rss_bytes();
     rows.push_back(row);
     std::printf(
-        "  streamed chunk=%3d lines: %7.1f ms  peak-buffers %.2f MB "
-        "(%4.1f%% of cube)  reader-stall %.0f ms  compute-stall %.0f ms\n",
-        chunk_lines, row.wall_ms,
+        "  streamed chunk=%3d lines: median %7.1f ms [%.1f..%.1f]  "
+        "peak-buffers %.2f MB (%4.1f%% of cube)  reader-stall %.0f ms  "
+        "compute-stall %.0f ms\n",
+        chunk_lines, row.median_ms(), row.min_ms(), row.max_ms(),
         static_cast<double>(row.stats.peak_buffer_bytes) / 1e6,
         100.0 * static_cast<double>(row.stats.peak_buffer_bytes) /
             static_cast<double>(cube_bytes),
         row.stats.reader_stall_seconds * 1e3,
         row.stats.compute_stall_seconds * 1e3);
   }
-
-  // Adaptive leg: no chunk-size hint — the run starts from the engine's
-  // default geometry and the ChunkAutotuner retunes it live from the stall
-  // series. The bar (asserted offline, tracked here): within 10% of the
-  // best fixed chunk size above, strictly better than the worst.
-  runtime::MetricsRegistry adaptive_reg;
-  stream::StreamingConfig adaptive_cfg;
-  adaptive_cfg.autotune = runtime::AutotuneConfig{};
-  adaptive_cfg.metrics = &adaptive_reg;
-  const auto ta = std::chrono::steady_clock::now();
-  const auto adaptive = stream::fuse_streaming(path, pool, adaptive_cfg);
-  const double adaptive_ms = seconds_since(ta) * 1e3;
-  if (!adaptive) {
-    std::printf("adaptive streaming run failed\n");
-    return 1;
-  }
-  const auto& tuned = adaptive->autotune;
-  std::printf(
-      "  streamed adaptive:        %7.1f ms  chunk %d -> %d lines, depth "
-      "%d -> %d, %zu decisions\n",
-      adaptive_ms, tuned.initial_chunk_lines, tuned.final_chunk_lines,
-      tuned.initial_queue_depth, tuned.final_queue_depth,
-      tuned.trajectory.size());
 
   // --- Traced legs: the observability acceptance artifacts ------------------
   // First the tracing-overhead probe: best-of-3 untraced vs best-of-3 traced
@@ -411,20 +407,11 @@ int main(int argc, char** argv) {
   const double best_stream_ms =
       std::min_element(rows.begin(), rows.end(),
                        [](const StreamRow& a, const StreamRow& b) {
-                         return a.wall_ms < b.wall_ms;
+                         return a.median_ms() < b.median_ms();
                        })
-          ->wall_ms;
-  const double worst_stream_ms =
-      std::max_element(rows.begin(), rows.end(),
-                       [](const StreamRow& a, const StreamRow& b) {
-                         return a.wall_ms < b.wall_ms;
-                       })
-          ->wall_ms;
-  std::printf("  best streamed vs load-then-fuse: %.2fx\n",
+          ->median_ms();
+  std::printf("  best streamed (median) vs load-then-fuse: %.2fx\n",
               total_s * 1e3 / best_stream_ms);
-  std::printf(
-      "  adaptive vs best fixed: %.2fx  vs worst fixed: %.2fx\n",
-      best_stream_ms / adaptive_ms, worst_stream_ms / adaptive_ms);
 
   std::FILE* out = std::fopen("BENCH_stream.json", "w");
   if (out == nullptr) {
@@ -442,14 +429,21 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"streamed\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
+    std::string runs;
+    for (const double ms : r.wall_ms) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%s%.3f", runs.empty() ? "" : ", ", ms);
+      runs += buf;
+    }
     std::fprintf(
         out,
-        "    {\"chunk_lines\": %d, \"wall_ms\": %.3f, "
+        "    {\"chunk_lines\": %d, \"wall_ms\": %.3f, \"min_ms\": %.3f, "
+        "\"max_ms\": %.3f, \"runs_ms\": [%s], "
         "\"peak_buffer_bytes\": %llu, \"chunks\": %d, "
         "\"read_ms\": %.3f, \"reader_stall_ms\": %.3f, "
         "\"compute_stall_ms\": %.3f, \"screen_ms\": %.3f, "
         "\"transform_ms\": %.3f, \"peak_rss_bytes\": %llu}%s\n",
-        r.chunk_lines, r.wall_ms,
+        r.chunk_lines, r.median_ms(), r.min_ms(), r.max_ms(), runs.c_str(),
         static_cast<unsigned long long>(r.stats.peak_buffer_bytes),
         r.stats.chunks, r.stats.read_seconds * 1e3,
         r.stats.reader_stall_seconds * 1e3,
@@ -459,31 +453,6 @@ int main(int argc, char** argv) {
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  // The adaptive leg and its tuned trajectory: chunk_lines/queue_depth
-  // after every controller decision, plus the stall fractions that drove
-  // it — the "how did it get there" record the acceptance bar asks for.
-  std::fprintf(out,
-               "  \"adaptive\": {\"wall_ms\": %.3f, "
-               "\"initial_chunk_lines\": %d, \"final_chunk_lines\": %d, "
-               "\"initial_queue_depth\": %d, \"final_queue_depth\": %d, "
-               "\"peak_buffer_bytes\": %llu,\n    \"trajectory\": [\n",
-               adaptive_ms, tuned.initial_chunk_lines,
-               tuned.final_chunk_lines, tuned.initial_queue_depth,
-               tuned.final_queue_depth,
-               static_cast<unsigned long long>(
-                   adaptive->stats.peak_buffer_bytes));
-  for (std::size_t i = 0; i < tuned.trajectory.size(); ++i) {
-    const auto& d = tuned.trajectory[i];
-    std::fprintf(out,
-                 "      {\"chunk\": %d, \"direction\": %d, "
-                 "\"chunk_lines\": %d, \"queue_depth\": %d, "
-                 "\"reader_stall_frac\": %.4f, "
-                 "\"compute_stall_frac\": %.4f}%s\n",
-                 d.chunk_index, d.direction, d.chunk_lines, d.queue_depth,
-                 d.reader_stall_frac, d.compute_stall_frac,
-                 i + 1 < tuned.trajectory.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]},\n");
   // The observability legs: tracing overhead ratio (best-of-3 vs best-of-3)
   // and the traced service run's artifact stats.
   std::fprintf(out,
@@ -500,21 +469,17 @@ int main(int argc, char** argv) {
                "%.3f, \"peak_rss_bytes\": %llu},\n",
                total_s * 1e3, load_s * 1e3,
                static_cast<unsigned long long>(rss_loaded));
-  std::fprintf(out, "  \"best_streamed_speedup\": %.3f,\n",
+  std::fprintf(out, "  \"best_streamed_speedup\": %.3f\n",
                total_s * 1e3 / best_stream_ms);
-  std::fprintf(out, "  \"adaptive_vs_best_fixed\": %.3f,\n",
-               best_stream_ms / adaptive_ms);
-  std::fprintf(out, "  \"adaptive_vs_worst_fixed\": %.3f\n",
-               worst_stream_ms / adaptive_ms);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_stream.json\n");
 
-  // Registry snapshot of the adaptive run (queue stalls, per-chunk stage
-  // latency histograms) — the dashboard-shaped artifact CI uploads.
+  // Registry snapshot of the first 48-line run (queue stalls, per-chunk
+  // stage latency histograms) — the dashboard-shaped artifact CI uploads.
   std::FILE* metrics_out = std::fopen("METRICS_stream.json", "w");
   if (metrics_out != nullptr) {
-    const std::string snapshot = adaptive_reg.to_json();
+    const std::string snapshot = metrics_reg.to_json();
     std::fwrite(snapshot.data(), 1, snapshot.size(), metrics_out);
     std::fclose(metrics_out);
     std::printf("wrote METRICS_stream.json\n");

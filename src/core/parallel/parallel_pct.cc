@@ -9,6 +9,29 @@
 
 namespace rif::core {
 
+std::uint64_t screen_tile_moments(const float* pixels, std::int64_t count,
+                                  UniqueSet& set,
+                                  linalg::MomentAccumulator& moments) {
+  constexpr std::size_t kMomentBlock = 32;
+  const int bands = set.bands();
+  std::uint64_t comparisons = 0;
+  std::size_t flushed = 0;
+  for (std::int64_t p = 0; p < count; ++p) {
+    set.screen({pixels + p * bands, static_cast<std::size_t>(bands)},
+               &comparisons);
+    if (set.size() - flushed >= kMomentBlock) {
+      moments.add_block(set.flat().data() + flushed * bands,
+                        static_cast<int>(set.size() - flushed));
+      flushed = set.size();
+    }
+  }
+  if (set.size() > flushed) {
+    moments.add_block(set.flat().data() + flushed * bands,
+                      static_cast<int>(set.size() - flushed));
+  }
+  return comparisons;
+}
+
 void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
                          const UniqueSet& tile_set,
                          const linalg::MomentAccumulator& tile_moments,
@@ -143,10 +166,8 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
     for (int b = 0; b < bands; ++b) origin[b] = static_cast<double>(p0[b]);
   }
 
-  // Single fused pass (concurrent): screen each tile's pixels and, as
-  // members are admitted into the tile's unique set, fold them into the
-  // tile's moment sums straight from the set's flat storage — cache-hot,
-  // in blocks sized for the packed-triangle kernel.
+  // Single fused pass (concurrent): each tile screens its pixels and
+  // accumulates its members' moment sums in one sweep.
   std::vector<UniqueSet> tile_sets;
   std::vector<linalg::MomentAccumulator> tile_moments;
   tile_sets.reserve(tile_count);
@@ -155,7 +176,6 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
     tile_sets.emplace_back(bands, config.pct.screening_threshold);
     tile_moments.emplace_back(bands, origin);
   }
-  constexpr std::size_t kMomentBlock = 32;
   std::atomic<std::uint64_t> comparisons{0};
   // Manual phase begin/end (one RAII span would blanket the whole engine);
   // `traced` is captured once so every begun phase also ends.
@@ -165,40 +185,24 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   pool.parallel_tasks(tile_count, [&](int i) {
     RIF_TRACE_SPAN_JOB("tile_screen", trace_job);
     const auto& t = tile_list[i];
-    UniqueSet& set = tile_sets[i];
-    linalg::MomentAccumulator& mom = tile_moments[i];
-    std::uint64_t local = 0;
-    std::size_t flushed = 0;
-    for (std::int64_t p = t.first_flat_index(); p < t.end_flat_index(); ++p) {
-      set.screen(cube.pixel(p), &local);
-      if (set.size() - flushed >= kMomentBlock) {
-        mom.add_block(set.flat().data() + flushed * bands,
-                      static_cast<int>(set.size() - flushed));
-        flushed = set.size();
-      }
-    }
-    if (set.size() > flushed) {
-      mom.add_block(set.flat().data() + flushed * bands,
-                    static_cast<int>(set.size() - flushed));
-    }
-    comparisons += local;
+    comparisons += screen_tile_moments(
+        cube.raw().data() + t.first_flat_index() * bands, t.pixels(),
+        tile_sets[i], tile_moments[i]);
   });
   result.screen_comparisons = comparisons.load();
   if (traced) tracer.end("fused_screen", trace_job);
 
-  // Fold the tiles in order. The first tile is admitted wholesale: its
-  // members are mutually distinct under the same threshold, so the fold
-  // would accept every one. For later tiles the moment sums follow the
-  // cheaper of two exact bookkeeping paths: retract the dropped members
-  // from the tile's sums, or rebuild the tile's contribution from the
-  // admitted members (contiguous in the merged set's flat storage, so the
-  // blocked kernel applies). Either way the surviving sums are exactly
-  // those of the merged unique set.
-  UniqueSet unique = std::move(tile_sets.front());
-  linalg::MomentAccumulator total = std::move(tile_moments.front());
+  // Fold the tiles in order, tile 0 into the empty global pair. The moment
+  // sums follow the cheaper of two exact bookkeeping paths: retract the
+  // dropped members from the tile's sums, or rebuild the tile's
+  // contribution from the admitted members (contiguous in the merged set's
+  // flat storage, so the blocked kernel applies). Either way the surviving
+  // sums are exactly those of the merged unique set.
+  UniqueSet unique(bands, config.pct.screening_threshold);
+  linalg::MomentAccumulator total(bands, origin);
   std::vector<std::uint8_t> dropped;
   if (traced) tracer.begin("fused_fold", trace_job);
-  for (int i = 1; i < tile_count; ++i) {
+  for (int i = 0; i < tile_count; ++i) {
     fold_unique_moments(unique, total, tile_sets[static_cast<std::size_t>(i)],
                         tile_moments[static_cast<std::size_t>(i)], pool,
                         dropped, &result.merge_comparisons);

@@ -62,6 +62,16 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
 PctResult fuse_parallel_fused(const hsi::ImageCube& cube,
                               const ParallelPctConfig& config);
 
+/// The fused engine's per-tile kernel, shared with the out-of-core
+/// streaming engine: screen `count` contiguous BIP pixels at `pixels` into
+/// `set` in order and fold each admitted member into `moments` as it
+/// arrives — straight from the set's flat storage, cache-hot, in blocks of
+/// 32 rows for the packed-triangle kernel. Pixels are `set.bands()` floats
+/// wide. Returns the screening comparison count.
+std::uint64_t screen_tile_moments(const float* pixels, std::int64_t count,
+                                  UniqueSet& set,
+                                  linalg::MomentAccumulator& moments);
+
 /// The fused engine's merge step, exposed as the shared primitive behind
 /// fuse_parallel_fused and the out-of-core StreamingFusionEngine: fold one
 /// tile's unique set AND its moment sums into the running global pair.
@@ -71,7 +81,9 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube,
 /// thread count. The surviving moment sums are kept exact by the cheaper
 /// of two paths: retract the dropped members from the tile's sums, or
 /// rebuild the tile's contribution from the admitted members. Both
-/// accumulators must share the same origin. `dropped` is caller-owned
+/// accumulators must share the same origin. Tile 0 folds like any other,
+/// into an empty set and empty sums, so its n0(n0-1)/2 admission
+/// comparisons are charged as in every engine. `dropped` is caller-owned
 /// scratch (reused across calls); `merge_comparisons`, if non-null,
 /// accrues the member-by-member comparison count.
 void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,

@@ -14,6 +14,11 @@ namespace {
 /// to neither pool.)
 thread_local const void* t_owner_pool = nullptr;
 
+/// Tasks (of any pool) this thread is executing, outermost first. A task
+/// started at depth 0 is the thread's outermost; nested ones run while it
+/// helps and are already inside its time.
+thread_local int t_task_depth = 0;
+
 std::int64_t now_nanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -78,6 +83,11 @@ double ThreadPool::idle_seconds() const {
   return static_cast<double>(total) * 1e-9;
 }
 
+double ThreadPool::busy_seconds() const {
+  std::lock_guard lock(mutex_);
+  return static_cast<double>(busy_nanos_) * 1e-9;
+}
+
 void ThreadPool::worker_loop() {
   t_owner_pool = this;
   std::unique_lock lock(mutex_);
@@ -115,13 +125,19 @@ void ThreadPool::parallel_tasks(int count, const std::function<void(int)>& fn) {
     RIF_CHECK_MSG(!stopping_, "parallel_tasks on a stopping pool");
     for (int i = 0; i < count; ++i) {
       queue_.push_back([this, &group, &fn, i] {
+        const bool outermost = t_task_depth++ == 0;
+        const std::int64_t t0 = outermost ? now_nanos() : 0;
         try {
           fn(i);
         } catch (...) {
           std::lock_guard lk(mutex_);
           if (!group.first_error) group.first_error = std::current_exception();
         }
+        --t_task_depth;
         std::lock_guard lk(mutex_);
+        // Busy time lands with the completion, so it is all counted by
+        // the time the caller returns.
+        if (outermost) busy_nanos_ += now_nanos() - t0;
         if (--group.remaining == 0) group.done.notify_all();
       });
     }

@@ -50,11 +50,18 @@ class ThreadPool {
   /// a nested parallel_* call with an empty queue) since construction.
   /// Parks in progress are included pro-rata at read time, so deltas over
   /// an interval are exact even when a park spans the interval boundary.
-  /// Monotone; busy time over an interval is
-  ///   threads * wall_interval - (idle_end - idle_start).
-  /// External callers blocked in parallel_* are not execution threads and
-  /// do not count. Feeds the FusionService host-pool utilisation report.
+  /// Monotone. External callers blocked in parallel_* are not execution
+  /// threads and do not count.
   [[nodiscard]] double idle_seconds() const;
+
+  /// Cumulative seconds spent executing this pool's tasks since
+  /// construction, whichever thread ran them: pool workers and external
+  /// callers helping inside parallel_* alike. Only a thread's OUTERMOST
+  /// task counts — a nested task run while helping is already inside its
+  /// caller's time — so a pool's busy time over an interval never exceeds
+  /// (threads + helping callers) x wall. Completed tasks only. Feeds the
+  /// FusionService host-pool utilisation report.
+  [[nodiscard]] double busy_seconds() const;
 
   /// Run fn(chunk_begin, chunk_end) over [0, n) split into one contiguous
   /// chunk per thread; blocks until every chunk completes, executing queued
@@ -112,6 +119,8 @@ class ThreadPool {
   std::int64_t idle_nanos_ = 0;
   int parked_threads_ = 0;
   std::int64_t park_start_sum_nanos_ = 0;
+  /// Outermost-task execution time (guarded by mutex_; see busy_seconds()).
+  std::int64_t busy_nanos_ = 0;
 
   // Optional metrics series (bind_metrics); null = unwired. Updates are
   // single relaxed atomic ops, cheap enough for the task path.

@@ -1,10 +1,11 @@
-// Metrics registry of the adaptive runtime control plane.
+// Metrics registry of the runtime control plane.
 //
-// Everything the control plane reacts to — queue stalls, per-chunk stage
+// Everything the control plane observes — queue stalls, per-chunk stage
 // latencies, pool busy/idle, per-tenant admission outcomes — flows through
-// one MetricsRegistry of named series, so "observe" and "react" share a
-// vocabulary: the ChunkAutotuner reads the same stall series a dashboard
-// would, and the JSON snapshot exporter is the registry walked once.
+// one MetricsRegistry of named series, so every consumer shares one
+// vocabulary: the service report, the ops plane's scrapes and a dashboard
+// read the same series, and the JSON snapshot exporter is the registry
+// walked once.
 //
 // Three series kinds, all hot-path-cheap (one relaxed atomic op per
 // update, no locks after creation):
@@ -98,8 +99,8 @@ class Gauge {
 /// Latency distribution in log2 buckets: bucket b counts observations in
 /// (2^(b-1-kZeroBucket), 2^(b-kZeroBucket)] seconds, so the range spans
 /// ~1 microsecond to ~64 seconds with the tails clamped into the end
-/// buckets. Good to a factor of 2 — the resolution autotuning and
-/// dashboards need, at the cost of one atomic increment.
+/// buckets. Good to a factor of 2 — the resolution dashboards need, at the
+/// cost of one atomic increment.
 class Histogram {
  public:
   /// 2^-20 s ~ 1us lower edge, 27 buckets => top edge 2^6 = 64 s.

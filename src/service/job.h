@@ -108,10 +108,6 @@ struct JobRequest {
   /// Streaming mode: chunk buffers in flight (>= 3); with chunk_lines this
   /// IS the job's budgeted peak memory.
   int queue_depth = 4;
-  /// Streaming mode: let the runtime's ChunkAutotuner retune
-  /// chunk_lines/queue_depth during the run, clamped to the job's ADMITTED
-  /// memory demand so tuning never outgrows what the Scheduler let in.
-  bool autotune = false;
 };
 
 struct SubmitResult {

@@ -788,6 +788,7 @@ void FusionService::execute_host_jobs() {
     return std::chrono::duration<double>(b - a).count();
   };
   const double idle_before = exec_pool_->idle_seconds();
+  const double busy_before = exec_pool_->busy_seconds();
   const auto phase_start = clock::now();
   RIF_TRACE_SPAN("host_execution");
   for (const auto& wave : waves) {
@@ -819,15 +820,6 @@ void FusionService::execute_host_jobs() {
             // max), and the report's StreamingTotals reads the result.
             cfg.metrics = &metrics_;
             cfg.metrics_prefix = "stream.";
-            if (job.request.autotune) {
-              runtime::AutotuneConfig tune;
-              tune.initial_chunk_lines = 0;  // start from the tenant's value
-              // The clamp the tenant already agreed to: the demand the
-              // Scheduler admitted. Tuning may reshape chunks vs depth but
-              // never outgrow the admitted footprint.
-              tune.memory_budget = job.record.memory_demand;
-              cfg.autotune = tune;
-            }
             auto r = stream::fuse_streaming(job.request.cube_path, *exec_pool_,
                                             cfg);
             if (!r) {
@@ -880,15 +872,20 @@ void FusionService::execute_host_jobs() {
     }
   }
 
-  // Busy/idle accounting over the phase: pool capacity is threads * wall,
-  // and the pool reports parked (idle) execution-thread time directly.
+  // Busy/idle accounting over the phase: pool capacity is threads * wall;
+  // the pool reports parked (idle) execution-thread time and task
+  // execution time directly. Busy is measured, not capacity minus idle:
+  // this thread helps while it waits, so under load it can run every job
+  // while the pool's own threads stay parked. It can also add a thread's
+  // worth on top of the pool's, hence the clamp.
   host_stats_.threads = exec_pool_->size();
   host_stats_.wall_seconds = seconds_between(phase_start, clock::now());
   const double capacity =
       host_stats_.wall_seconds * static_cast<double>(host_stats_.threads);
   host_stats_.idle_seconds = std::min(
       capacity, std::max(0.0, exec_pool_->idle_seconds() - idle_before));
-  host_stats_.busy_seconds = capacity - host_stats_.idle_seconds;
+  host_stats_.busy_seconds =
+      std::min(capacity, exec_pool_->busy_seconds() - busy_before);
   host_stats_.utilization =
       capacity > 0.0 ? host_stats_.busy_seconds / capacity : 0.0;
   metrics_.gauge("host_pool.busy_seconds").record(host_stats_.busy_seconds);

@@ -231,13 +231,15 @@ struct ServiceConfig {
 
 /// Usage of the shared host execution pool over the host-execution phase
 /// (populated only when ServiceConfig::execution_threads > 0 and at least
-/// one Full-mode job host-executed). Busy/idle split execution-thread
-/// time: a thread is idle while parked waiting for work — including a
-/// nested helper that ran out of queued tiles — and busy otherwise.
+/// one Full-mode job host-executed). Both are measured: a thread is idle
+/// while parked waiting for work — including a nested helper that ran out
+/// of queued tiles — and busy while it runs a job's task, whichever thread
+/// (pool worker or the helping run() caller) runs it.
 struct HostPoolStats {
   int threads = 0;
   double wall_seconds = 0.0;  ///< wall span of the host-execution phase
-  double busy_seconds = 0.0;  ///< threads * wall - idle
+  /// Task execution time in-phase, clamped to threads * wall.
+  double busy_seconds = 0.0;
   double idle_seconds = 0.0;  ///< execution-thread time parked in-phase
   double utilization = 0.0;   ///< busy / (threads * wall); 0 when unused
 };

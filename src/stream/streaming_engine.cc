@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <thread>
-#include <utility>
 
 #include "core/parallel/parallel_pct.h"
 #include "hsi/chunked_reader.h"
@@ -35,9 +33,7 @@ double seconds_since(clock::time_point t0) {
 struct ChunkBuffer {
   int line0 = 0;
   int rows = 0;
-  std::vector<float> data;         // rows * samples * bands, BIP
-  std::uint64_t alloc_bytes = 0;   // capacity, as counted in live_bytes
-  double read_seconds = 0.0;       // this fill's read_lines time (autotune)
+  std::vector<float> data;  // rows * samples * bands, BIP
 };
 
 /// Registry series of one streamed run, looked up once. The engine always
@@ -86,25 +82,6 @@ StreamingStats stats_view(const runtime::MetricsRegistry& reg) {
   return s;
 }
 
-/// The buffer geometry both sides of a pass move. The reader picks each
-/// fill's width and accounts the buffer's growth; the consumer retunes the
-/// width and retires, trims and activates buffers. Each side's step runs
-/// under `mu`, so an activation check always sees the growth of every fill
-/// whose width is already picked, and the next fill sees the new width.
-struct BufferGeometry {
-  std::mutex mu;
-  int chunk_lines = 0;          ///< lines of the NEXT fill
-  std::uint64_t live_bytes = 0; ///< capacity of every chunk buffer, both passes
-};
-
-/// Release a buffer's memory and drop it from the live count. Assigning
-/// `{}` would keep the capacity.
-void release(ChunkBuffer& buf, BufferGeometry& geometry) {
-  geometry.live_bytes -= buf.alloc_bytes;
-  buf.alloc_bytes = 0;
-  std::vector<float>().swap(buf.data);
-}
-
 /// Shared state of one reader pass. The reader is a dedicated std::thread:
 /// it must never borrow the compute pool, or a pool blocked in pop() could
 /// starve the very stage that would refill it (see bounded_queue.h).
@@ -113,10 +90,7 @@ struct ReaderPass {
   std::vector<ChunkBuffer>* buffers = nullptr;
   BoundedQueue<int>* free_q = nullptr;
   BoundedQueue<int>* full_q = nullptr;
-  /// Reread every fill, so the autotuner (on the consumer side) retunes a
-  /// live pass with at most queue_depth chunks of lag. Owned by the engine
-  /// so the live count (and the peak gauge) spans both passes.
-  BufferGeometry* geometry = nullptr;
+  int chunk_lines = 0;
   RunMetrics* metrics = nullptr;
   /// Job attribution for the reader thread's spans — the reader runs
   /// outside the consumer's JobScope, so the id travels explicitly.
@@ -132,32 +106,19 @@ struct ReaderPass {
       if (!idx) return;  // aborted by the consumer
       ChunkBuffer& buf = (*buffers)[static_cast<std::size_t>(*idx)];
       buf.line0 = line0;
-      {
-        // Account the growth BEFORE the buffer grows and the read runs.
-        const std::lock_guard<std::mutex> lock(geometry->mu);
-        buf.rows =
-            std::max(1, std::min(geometry->chunk_lines, lines - line0));
-        const std::uint64_t needed = reader->chunk_bytes(buf.rows);
-        if (needed > buf.alloc_bytes) {
-          geometry->live_bytes += needed - buf.alloc_bytes;
-          buf.alloc_bytes = needed;
-          metrics->peak_buffer_bytes.record(
-              static_cast<double>(geometry->live_bytes));
-        }
-      }
-      // Grow to EXACTLY the accounted footprint: resize()'s geometric
-      // growth would otherwise hand a widening (autotuned) chunk up to 2x
-      // its nominal bytes and quietly break the memory clamp.
-      const std::size_t floats = buf.alloc_bytes / sizeof(float);
-      if (buf.data.capacity() < floats) buf.data.reserve(floats);
+      buf.rows = std::min(chunk_lines, lines - line0);
+      // Reserve EXACTLY the chunk's footprint before the read resizes the
+      // buffer: resize()'s geometric growth could otherwise hand a buffer
+      // up to 2x its nominal bytes.
+      buf.data.reserve(static_cast<std::size_t>(
+          reader->chunk_bytes(buf.rows) / sizeof(float)));
       const auto t0 = clock::now();
       bool ok;
       {
         RIF_TRACE_SPAN_JOB("chunk_read", trace_job);
         ok = reader->read_lines(line0, buf.rows, buf.data);
       }
-      buf.read_seconds = seconds_since(t0);
-      metrics->read_hist.observe(buf.read_seconds);
+      metrics->read_hist.observe(seconds_since(t0));
       if (!ok) {
         io_error.store(true);
         free_q->push(*idx);
@@ -198,118 +159,36 @@ class ReaderThread {
 
 /// One full reader pass over the file: owns the queue pair, feeds every
 /// chunk through `consume` (in ascending chunk order, on the calling
-/// thread; returns its compute seconds for that chunk), joins the reader
-/// and merges the pass's stall attribution into the run registry. Returns
-/// false on a mid-pass I/O error. Shared by both pipeline passes so stall
-/// attribution and the error path cannot diverge between them.
-///
-/// `active_depth` buffers of `buffers` circulate (the rest hold no
-/// memory). When `tuner` is set, each consumed chunk's timing deltas feed
-/// the controller and BOTH knobs apply live, consumer-side: the new
-/// chunk_lines is published to the reader (effective from its next fill,
-/// i.e. with at most queue_depth chunks of lag), and a queue-depth move
-/// retires the just-consumed buffer (its memory is freed before the wider
-/// chunk_lines is published, so a width-for-depth trade never transiently
-/// exceeds the memory clamp) or activates an idle one.
+/// thread), joins the reader and merges the pass's stall attribution into
+/// the run registry. Returns false on a mid-pass I/O error. Shared by both
+/// pipeline passes so stall attribution and the error path cannot diverge
+/// between them.
 bool run_reader_pass(hsi::ChunkedCubeReader& reader,
-                     std::vector<ChunkBuffer>& buffers,
-                     BufferGeometry& geometry, RunMetrics& metrics,
-                     int& active_depth,
-                     std::uint64_t memory_budget,
-                     runtime::ChunkAutotuner* tuner, std::int64_t trace_job,
-                     const std::function<double(const ChunkBuffer&)>& consume) {
+                     std::vector<ChunkBuffer>& buffers, int chunk_lines,
+                     RunMetrics& metrics, std::int64_t trace_job,
+                     const std::function<void(const ChunkBuffer&)>& consume) {
   // The free queue can hold every buffer; the full queue's capacity is
   // what is left after the slot the reader is filling and the one the
-  // compute stage is draining — with active_depth buffers circulating,
-  // in-flight memory can never exceed active_depth chunks.
+  // compute stage is draining — so in-flight memory can never exceed
+  // buffers.size() chunks.
   BoundedQueue<int> free_q(buffers.size());
   BoundedQueue<int> full_q(buffers.size() - 2);
   free_q.bind_metrics(metrics.reg, "free_queue.");
   full_q.bind_metrics(metrics.reg, "full_queue.");
-  std::vector<int> idle;  // allocated structs not currently circulating
-  for (int i = 0; i < static_cast<int>(buffers.size()); ++i) {
-    if (i < active_depth) {
-      free_q.push(i);
-    } else {
-      // Not part of this pass (depth shrank since the buffer last ran).
-      release(buffers[static_cast<std::size_t>(i)], geometry);
-      idle.push_back(i);
-    }
-  }
+  for (int i = 0; i < static_cast<int>(buffers.size()); ++i) free_q.push(i);
 
   ReaderPass pass;
   pass.reader = &reader;
   pass.buffers = &buffers;
   pass.free_q = &free_q;
   pass.full_q = &full_q;
-  pass.geometry = &geometry;
+  pass.chunk_lines = chunk_lines;
   pass.metrics = &metrics;
   pass.trace_job = trace_job;
   ReaderThread reader_thread(pass);
 
-  double reader_stall_seen = 0.0;
-  double compute_stall_seen = 0.0;
   while (const auto idx = full_q.pop()) {
-    ChunkBuffer& buf = buffers[static_cast<std::size_t>(*idx)];
-    const double compute_seconds = consume(buf);
-    if (tuner != nullptr) {
-      // Timing deltas since the previous chunk; the stall accessors take
-      // the queue mutex, which at one sample per chunk is noise.
-      const double reader_stall =
-          free_q.pop_stall_seconds() + full_q.push_stall_seconds();
-      const double compute_stall = full_q.pop_stall_seconds();
-      runtime::TuneObservation obs;
-      obs.read_seconds = buf.read_seconds;
-      obs.reader_stall_seconds = reader_stall - reader_stall_seen;
-      obs.compute_stall_seconds = compute_stall - compute_stall_seen;
-      obs.compute_seconds = compute_seconds;
-      obs.lines = buf.rows;
-      reader_stall_seen = reader_stall;
-      compute_stall_seen = compute_stall;
-      tuner->observe(obs);
-      const std::lock_guard<std::mutex> lock(geometry.mu);
-      if (tuner->queue_depth() < active_depth) {
-        // Retire the buffer we exclusively hold: free its memory FIRST,
-        // then publish the (possibly wider) chunk_lines.
-        release(buf, geometry);
-        idle.push_back(*idx);
-        --active_depth;
-        geometry.chunk_lines = tuner->chunk_lines();
-        continue;  // this index does not rejoin the free queue
-      }
-      // After a shrink decision, recycled buffers still carry their old
-      // wider capacity. Trim the one we hold to the width it is refilled
-      // at before it recirculates — otherwise the live accounting stays
-      // pinned at the old width and a later depth increase would stack
-      // new buffers on top of stale ones, past the memory clamp.
-      geometry.chunk_lines = tuner->chunk_lines();
-      const std::uint64_t nominal = reader.chunk_bytes(geometry.chunk_lines);
-      if (buf.alloc_bytes > nominal) {
-        release(buf, geometry);
-        buf.data.reserve(static_cast<std::size_t>(nominal / sizeof(float)));
-        buf.alloc_bytes = nominal;
-        geometry.live_bytes += nominal;
-      }
-      if (tuner->queue_depth() > active_depth && !idle.empty()) {
-        // Activate read-ahead only when the buffers' ACTUAL bytes (which
-        // may still include not-yet-trimmed wide buffers) leave room for
-        // one more nominal chunk, counting the growth of every
-        // circulating buffer still narrower than its next fill — the
-        // tuner's check is against nominal geometry, this one is against
-        // reality.
-        std::uint64_t reach = nominal;
-        for (int i = 0; i < static_cast<int>(buffers.size()); ++i) {
-          if (std::find(idle.begin(), idle.end(), i) != idle.end()) continue;
-          reach += std::max(buffers[static_cast<std::size_t>(i)].alloc_bytes,
-                            nominal);
-        }
-        if (memory_budget == 0 || reach <= memory_budget) {
-          free_q.push(idle.back());
-          idle.pop_back();
-          ++active_depth;
-        }
-      }
-    }
+    consume(buffers[static_cast<std::size_t>(*idx)]);
     free_q.push(*idx);
   }
   reader_thread.join();
@@ -350,45 +229,22 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
 
   runtime::MetricsRegistry reg;
   RunMetrics metrics{reg};
-  BufferGeometry geometry;
-
-  // Autotuned runs start from AutotuneConfig::initial_chunk_lines (the
-  // configured chunk_lines when 0); fixed runs keep the configured
-  // geometry for the whole run (chunk_lines is then never written again).
-  std::optional<runtime::ChunkAutotuner> tuner;
-  if (config.autotune.has_value()) {
-    const int start = config.autotune->initial_chunk_lines > 0
-                          ? config.autotune->initial_chunk_lines
-                          : config.chunk_lines;
-    tuner.emplace(*config.autotune, std::min(start, H), config.queue_depth,
-                  static_cast<std::uint64_t>(W) * B * sizeof(float));
-  }
-  geometry.chunk_lines =
-      tuner ? tuner->chunk_lines() : std::min(config.chunk_lines, H);
-  // Autotuned runs allocate buffer STRUCTS up to the depth ceiling (memory
-  // only materializes when a buffer circulates), so depth can move live;
-  // fixed runs circulate exactly queue_depth.
-  int active_depth = tuner ? tuner->queue_depth() : config.queue_depth;
-  // Ceiling from the TUNER's clamped config, never the raw caller value:
-  // an absurd AutotuneConfig::max_queue_depth must not size a real
-  // allocation (the structs are cheap, a billion of them is not).
-  const int max_depth =
-      tuner ? std::max(tuner->max_queue_depth(), active_depth)
-            : config.queue_depth;
-  std::vector<ChunkBuffer> buffers(static_cast<std::size_t>(max_depth));
+  const int chunk_lines = std::min(config.chunk_lines, H);
+  std::vector<ChunkBuffer> buffers(
+      static_cast<std::size_t>(config.queue_depth));
 
   StreamingResult result;
 
   // --- pass 1: screen + moment sums, folded in chunk order ------------------
   core::UniqueSet unique(B, config.pct.screening_threshold);
+  // Moment sums about the cube's first pixel, known once the first chunk
+  // lands.
   std::optional<linalg::MomentAccumulator> total;
-  std::vector<double> origin;  // first pixel of the cube (first chunk)
   std::uint64_t screen_comparisons = 0;
   {
     std::vector<core::UniqueSet> tile_sets;
     std::vector<linalg::MomentAccumulator> tile_moments;
     std::vector<std::uint8_t> dropped;
-    bool first_tile = true;
     const auto screen_chunk = [&](const ChunkBuffer& buf) {
       // Manual begin/end rather than one RAII span: screening and the
       // in-order fold are distinct trace stages of the same chunk.
@@ -397,13 +253,13 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       if (traced) tracer.begin("chunk_screen", trace_job);
       const auto t0 = clock::now();
       metrics.chunks.add(1);
-      if (origin.empty()) {
-        origin.assign(buf.data.begin(), buf.data.begin() + B);
+      if (!total) {
+        total.emplace(B, std::vector<double>(buf.data.begin(),
+                                             buf.data.begin() + B));
       }
-      // Sub-tile the chunk exactly as the in-memory engines tile the cube:
-      // per-tile unique set + moment sums in one fused sweep (the same
-      // 32-row flush cadence as fuse_parallel_fused), then fold tiles in
-      // order into the global pair.
+      // Sub-tile the chunk exactly as the in-memory engines tile the cube,
+      // screen each tile through the fused engine's kernel, then fold the
+      // tiles in order into the global pair.
       const auto tiles =
           hsi::partition_rows({W, buf.rows, B}, tiles_per_chunk);
       const int tile_count = static_cast<int>(tiles.size());
@@ -411,60 +267,32 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       tile_moments.clear();
       for (int i = 0; i < tile_count; ++i) {
         tile_sets.emplace_back(B, config.pct.screening_threshold);
-        tile_moments.emplace_back(B, origin);
+        tile_moments.emplace_back(B, total->origin());
       }
       std::atomic<std::uint64_t> comparisons{0};
       pool.parallel_tasks(tile_count, [&](int i) {
-        constexpr std::size_t kMomentBlock = 32;
-        core::UniqueSet& set = tile_sets[static_cast<std::size_t>(i)];
-        linalg::MomentAccumulator& mom =
-            tile_moments[static_cast<std::size_t>(i)];
-        std::uint64_t local = 0;
-        std::size_t flushed = 0;
-        const std::int64_t first = tiles[i].first_flat_index();
-        const std::int64_t last = tiles[i].end_flat_index();
-        for (std::int64_t p = first; p < last; ++p) {
-          set.screen({buf.data.data() + p * B, static_cast<std::size_t>(B)},
-                     &local);
-          if (set.size() - flushed >= kMomentBlock) {
-            mom.add_block(set.flat().data() + flushed * B,
-                          static_cast<int>(set.size() - flushed));
-            flushed = set.size();
-          }
-        }
-        if (set.size() > flushed) {
-          mom.add_block(set.flat().data() + flushed * B,
-                        static_cast<int>(set.size() - flushed));
-        }
-        comparisons += local;
+        const auto& tile = tiles[static_cast<std::size_t>(i)];
+        comparisons += core::screen_tile_moments(
+            buf.data.data() + tile.first_flat_index() * B, tile.pixels(),
+            tile_sets[static_cast<std::size_t>(i)],
+            tile_moments[static_cast<std::size_t>(i)]);
       });
       screen_comparisons += comparisons.load();
-      const double screen_seconds = seconds_since(t0);
-      metrics.screen_hist.observe(screen_seconds);
+      metrics.screen_hist.observe(seconds_since(t0));
       if (traced) tracer.end("chunk_screen", trace_job);
       if (traced) tracer.begin("chunk_fold", trace_job);
       const auto t1 = clock::now();
       for (int i = 0; i < tile_count; ++i) {
-        if (first_tile) {
-          unique = std::move(tile_sets[static_cast<std::size_t>(i)]);
-          total = std::move(tile_moments[static_cast<std::size_t>(i)]);
-          first_tile = false;
-          continue;
-        }
         core::fold_unique_moments(unique, *total,
                                   tile_sets[static_cast<std::size_t>(i)],
                                   tile_moments[static_cast<std::size_t>(i)],
                                   pool, dropped, &result.merge_comparisons);
       }
-      const double fold_seconds = seconds_since(t1);
-      metrics.fold_hist.observe(fold_seconds);
+      metrics.fold_hist.observe(seconds_since(t1));
       if (traced) tracer.end("chunk_fold", trace_job);
-      return screen_seconds + fold_seconds;
     };
     RIF_TRACE_SPAN_JOB("stream_pass1", trace_job);
-    if (!run_reader_pass(*reader, buffers, geometry, metrics, active_depth,
-                         tuner ? config.autotune->memory_budget : 0,
-                         tuner ? &*tuner : nullptr, trace_job,
+    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics, trace_job,
                          screen_chunk)) {
       RIF_LOG_WARN("stream", "I/O error streaming " << cube_path);
       return std::nullopt;
@@ -495,19 +323,6 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
   result.eigenvectors = eig.vectors;
   result.jacobi_sweeps = eig.sweeps;
 
-  // Pass 2 starts at the converged geometry and KEEPS tuning: the
-  // per-pixel transform is indifferent to chunk boundaries, so geometry is
-  // pure throughput there — and its read/compute balance differs from
-  // screening's, so the controller is left in the loop. The boundary is
-  // declared to the tuner so the first transform epoch is never judged
-  // against a screening-phase rate (a cross-kernel comparison that could
-  // veto a perfectly good move).
-  if (tuner) {
-    tuner->phase_boundary();
-    geometry.chunk_lines = tuner->chunk_lines();
-    active_depth = tuner->queue_depth();
-  }
-
   // --- pass 2: streamed blocked transform + colour map -----------------------
   const linalg::Matrix t =
       core::transform_matrix(eig.vectors, config.pct.output_components);
@@ -537,21 +352,23 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       if (config.plane_sink) {
         config.plane_sink(first_flat, count, comps, planes);
       }
-      const double transform_seconds = seconds_since(t0);
-      metrics.transform_hist.observe(transform_seconds);
-      return transform_seconds;
+      metrics.transform_hist.observe(seconds_since(t0));
     };
     RIF_TRACE_SPAN_JOB("stream_pass2", trace_job);
-    if (!run_reader_pass(*reader, buffers, geometry, metrics, active_depth,
-                         tuner ? config.autotune->memory_budget : 0,
-                         tuner ? &*tuner : nullptr, trace_job,
+    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics, trace_job,
                          transform_chunk)) {
       RIF_LOG_WARN("stream", "I/O error streaming " << cube_path);
       return std::nullopt;
     }
   }
 
-  if (tuner) result.autotune = tuner->report();
+  // Buffers only ever grow and all stay live until the run ends, so the
+  // footprint's high-water is the final sum of their capacities.
+  std::uint64_t buffer_bytes = 0;
+  for (const ChunkBuffer& buf : buffers) {
+    buffer_bytes += buf.data.capacity() * sizeof(float);
+  }
+  metrics.peak_buffer_bytes.record(static_cast<double>(buffer_bytes));
   result.stats = stats_view(reg);
   if (config.metrics != nullptr) {
     reg.merge_into(*config.metrics, config.metrics_prefix);

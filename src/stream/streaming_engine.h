@@ -52,7 +52,6 @@
 #include "core/pct.h"
 #include "hsi/image_io.h"
 #include "linalg/matrix.h"
-#include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 
 namespace rif::stream {
@@ -64,8 +63,7 @@ struct StreamingConfig {
   /// and of memory budgeting: peak buffer memory is
   /// queue_depth x chunk_lines x samples x bands x 4 bytes. Bounds shared
   /// with submit-time validation (runtime/chunk_geometry.h); out-of-bounds
-  /// values fail the run with a logged error. With `autotune` set this is
-  /// only the starting point.
+  /// values fail the run with a logged error. Fixed for the whole run.
   int chunk_lines = 64;
 
   /// Total chunk buffers in flight (>= 3): one filling at the reader, one
@@ -73,17 +71,6 @@ struct StreamingConfig {
   /// read-ahead. This bounds the engine's buffer footprint — backpressure
   /// from the full queue throttles the reader when compute falls behind.
   int queue_depth = 4;
-
-  /// Adaptive chunk geometry: when set, a runtime::ChunkAutotuner retunes
-  /// chunk_lines BETWEEN CHUNKS of pass 1 from the live stall series
-  /// (grow while reader-stalled, shrink while compute-stalled, hysteresis
-  /// and memory clamp — see runtime/autotuner.h) and queue_depth at the
-  /// pass boundary; pass 2 runs at the converged geometry. The tuned
-  /// trajectory lands in StreamingResult::autotune. Chunk boundaries then
-  /// differ from any fixed-geometry run, so the unique set matches no
-  /// in-memory tiling — the composite is still a valid fusion within the
-  /// usual cross-tiling variation.
-  std::optional<runtime::AutotuneConfig> autotune;
 
   /// Optional long-lived registry (e.g. the FusionService's): the run's
   /// private series are folded in under `metrics_prefix` when the run
@@ -114,7 +101,7 @@ struct StreamingConfig {
 /// bottleneck story without a profiler: reader_stall ~ backpressure
 /// (compute-bound), compute_stall ~ starvation (I/O-bound).
 ///
-/// Since the adaptive-runtime PR this struct is a VIEW: the engine
+/// This struct is a VIEW: the engine
 /// records everything into a per-run runtime::MetricsRegistry (per-chunk
 /// read/screen/fold/transform latency histograms, stall gauges, queue
 /// series) and materializes these fields from it at the end of the run —
@@ -123,12 +110,11 @@ struct StreamingConfig {
 struct StreamingStats {
   int chunks = 0;                 ///< chunks consumed in pass 1
   std::uint64_t bytes_read = 0;   ///< file bytes read (both passes)
-  /// Largest BIP chunk read — the full-size buffer for fixed geometry,
-  /// the widest tuned chunk for autotuned runs.
+  /// Largest BIP chunk read — the full-size buffer.
   std::uint64_t chunk_bytes = 0;
-  /// High-water of live chunk-buffer bytes — the engine's whole variable
-  /// footprint besides the unique set and the output image. Bounded by
-  /// queue_depth x chunk_bytes by construction.
+  /// Most chunk-buffer bytes live at once across both passes — the
+  /// engine's whole variable footprint besides the unique set and the
+  /// output image. Bounded by queue_depth x chunk_bytes by construction.
   std::uint64_t peak_buffer_bytes = 0;
   double read_seconds = 0.0;     ///< reader thread inside read_lines
   double reader_stall_seconds = 0.0;   ///< reader blocked (backpressure)
@@ -149,9 +135,6 @@ struct StreamingResult {
   std::uint64_t merge_comparisons = 0;
   int jacobi_sweeps = 0;
   StreamingStats stats;
-  /// Tuned trajectory of this run (enabled == false when the run used
-  /// fixed geometry).
-  runtime::AutotuneReport autotune;
 };
 
 /// Fuse the cube at `<cube_path>` (+ `.hdr`) straight from disk on

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -130,6 +131,31 @@ TEST(ThreadPoolTest, IdleSecondsTracksParkedWorkers) {
   });
   const double idle3 = pool.idle_seconds();
   EXPECT_LE(idle3 - idle2, 0.05);
+}
+
+TEST(ThreadPoolTest, BusySecondsCountsEachThreadsOutermostTaskOnce) {
+  // Four nested levels around one 30 ms sleep on a 1-worker pool: the
+  // worker and the helping caller are the only threads that can run them.
+  // Counting every level would charge the sleep up to four times; counting
+  // only each thread's outermost task charges at most one task per thread.
+  ThreadPool pool(1);
+  std::function<void(int)> level = [&](int depth) {
+    if (depth == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      return;
+    }
+    pool.parallel_tasks(1, [&](int) { level(depth - 1); });
+  };
+  const double busy0 = pool.busy_seconds();
+  const auto t0 = std::chrono::steady_clock::now();
+  level(4);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  // Counted before parallel_tasks returns, whichever thread ran the task.
+  const double busy = pool.busy_seconds() - busy0;
+  EXPECT_GE(busy, 0.03);
+  EXPECT_LE(busy, 2 * wall + 1e-3);
 }
 
 // Concurrent callers from non-pool threads (the FusionService pattern:
@@ -436,7 +462,7 @@ TEST(FusedPctTest, MatchesTwoPassEngineTileForTile) {
     const PctResult fused = fuse_parallel_fused(scene.cube, config);
     EXPECT_EQ(fused.unique_set_size, two_pass.unique_set_size) << tiles;
     EXPECT_GT(two_pass.merge_comparisons, 0u);
-    EXPECT_GT(fused.merge_comparisons, 0u);
+    EXPECT_EQ(fused.merge_comparisons, two_pass.merge_comparisons) << tiles;
     ASSERT_EQ(fused.composite.data.size(), two_pass.composite.data.size());
     for (std::size_t i = 0; i < two_pass.composite.data.size(); ++i) {
       ASSERT_LE(std::abs(int(fused.composite.data[i]) -
