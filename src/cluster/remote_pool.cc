@@ -76,9 +76,9 @@ void RemoteWorkerPool::start(NodeId first_node_id) {
 }
 
 bool RemoteWorkerPool::route_send(net::SessionId session,
-                                  const std::vector<std::uint8_t>& bytes) {
-  if (faults_ != nullptr) return faults_->send(session, bytes);
-  return server_.send(session, bytes);
+                                  std::vector<std::uint8_t> bytes) {
+  if (faults_ != nullptr) return faults_->send(session, std::move(bytes));
+  return server_.send(session, std::move(bytes));
 }
 
 void RemoteWorkerPool::supervision_loop() {
@@ -201,8 +201,8 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
                                 std::vector<std::uint8_t> frame) {
   // Trust boundary: anything can connect to the listener, so a malformed
   // envelope drops the session instead of aborting the poll thread.
-  const std::optional<scp::WireEnvelope> decoded =
-      scp::WireEnvelope::try_decode(frame);
+  const std::optional<scp::WireView> decoded =
+      scp::WireView::try_decode(frame);
   if (!decoded) {
     RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
                   "malformed envelope on session " << session
@@ -213,12 +213,28 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     server_.close_session(session);
     return;
   }
-  const scp::WireEnvelope& env = *decoded;
+  const scp::WireView& env = *decoded;
   std::unique_lock lock(mu_);
   auto it = by_session_.find(session);
   if (it == by_session_.end()) {
     // First frame on a fresh session must be the handshake.
     if (env.kind != scp::FrameKind::kHello) return;
+    // A worker speaking another protocol version would fail every frame
+    // after the handshake: refuse it before it is leased a node.
+    const auto hello = scp::HelloBody::try_decode(env.payload);
+    if (!hello || hello->protocol_version != scp::kProtocolVersion) {
+      lock.unlock();
+      RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
+                    "worker on session " << session
+                                         << " does not speak protocol "
+                                         << scp::kProtocolVersion
+                                         << "; closing");
+      if (metrics_ != nullptr) {
+        metrics_->counter(metrics_prefix_ + "version_mismatch").add(1);
+      }
+      server_.close_session(session);
+      return;
+    }
     const int worker = static_cast<int>(slots_.size());
     Slot slot;
     slot.session = session;
@@ -307,7 +323,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     if (telemetry_sink_) telemetry_sink_(node, *body);
     return;
   }
-  events_.push_back(Event{Event::Kind::kFrame, it->second, env});
+  events_.push_back(Event{Event::Kind::kFrame, it->second, env.to_envelope()});
   lock.unlock();
   cv_.notify_all();
 }

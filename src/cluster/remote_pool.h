@@ -86,7 +86,8 @@ class RemoteWorkerPool {
   void install_faults(net::WireFaultPlan plan);
 
   /// Publish supervision counters (`<prefix>pings`, `<prefix>pongs`,
-  /// `<prefix>evictions`, `<prefix>disconnects`, `<prefix>malformed`) and,
+  /// `<prefix>evictions`, `<prefix>disconnects`, `<prefix>malformed`,
+  /// `<prefix>version_mismatch`) and,
   /// when faults are installed, the fault layer's counters under
   /// `<prefix>faults.`. Call before start().
   void bind_metrics(runtime::MetricsRegistry& registry,
@@ -175,8 +176,7 @@ class RemoteWorkerPool {
   void supervision_loop();
   /// Route one framed envelope to a session — through the fault layer
   /// when one is installed.
-  bool route_send(net::SessionId session,
-                  const std::vector<std::uint8_t>& bytes);
+  bool route_send(net::SessionId session, std::vector<std::uint8_t> bytes);
   /// Send one seq-tagged kPing and record its send stamp for the
   /// ping-echo clock estimator. Takes mu_ briefly; call unlocked.
   void send_timed_ping(net::SessionId session, NodeId node);

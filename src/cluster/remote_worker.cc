@@ -213,11 +213,12 @@ struct WorkerState {
   /// re-sends whatever it was carrying. (Contrast with an undecodable
   /// ENVELOPE, where framing itself can no longer be trusted and the serve
   /// loop disconnects.)
-  [[nodiscard]] bool on_app(const scp::WireEnvelope& env) {
-    const scp::Message msg = env.to_message();
-    switch (msg.type) {
+  /// Messages decode straight out of the received frame, so a tile's
+  /// pixels are copied once on the way in (into TileAssignMsg::data).
+  [[nodiscard]] bool on_app(const scp::WireView& env) {
+    switch (env.msg_type) {
       case core::kTileAssign: {
-        auto decoded = core::TileAssignMsg::try_decode(msg);
+        auto decoded = core::TileAssignMsg::try_decode(env.payload);
         if (!decoded) return true;
         core::TileAssignMsg assign = std::move(*decoded);
         // Ask for the next tile before computing this one — same
@@ -242,7 +243,7 @@ struct WorkerState {
       case core::kNoMoreTiles:
         return true;
       case core::kCovShard: {
-        auto shard = core::CovShardMsg::try_decode(msg);
+        auto shard = core::CovShardMsg::try_decode(env.payload);
         if (!shard) return true;
         const std::uint64_t t0 = steady_ns();
         core::CovSumMsg sum = core::cov_shard_sum(*shard, job->bands);
@@ -252,7 +253,7 @@ struct WorkerState {
         return send_app(sum.encode(0));
       }
       case core::kTransform: {
-        auto decoded = core::TransformMsg::try_decode(msg);
+        auto decoded = core::TransformMsg::try_decode(env.payload);
         if (!decoded) return true;
         transform = std::move(*decoded);
         for (auto& [index, held] : tiles) {
@@ -299,10 +300,10 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
   while (client.read_frame(frame)) {
     // The service end of this socket is a peer process: a malformed frame
     // means a broken or hostile peer, so disconnect rather than abort.
-    const std::optional<scp::WireEnvelope> decoded =
-        scp::WireEnvelope::try_decode(frame);
+    const std::optional<scp::WireView> decoded =
+        scp::WireView::try_decode(frame);
     if (!decoded) return st.stats;
-    const scp::WireEnvelope& env = *decoded;
+    const scp::WireView& env = *decoded;
     switch (env.kind) {
       case scp::FrameKind::kWelcome: {
         if (env.payload.size() != sizeof(std::int32_t)) return st.stats;

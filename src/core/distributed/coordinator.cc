@@ -73,17 +73,14 @@ int Coordinator::pick_other(int avoid) {
 void Coordinator::assign_tile(int worker, int t, double now) {
   holder_[t] = worker;
   const hsi::Tile& tile = tiles_[t];
-  TileAssignMsg assign;
-  assign.tile = WireTile::from(tile);
+  // A tile is whole rows of a BIP cube, so its pixels are contiguous.
+  std::span<const float> data;
   if (p_.mode == ExecutionMode::kFull) {
-    assign.data.reserve(tile.pixels() * tile.bands);
-    const std::int64_t first = tile.first_flat_index();
-    for (std::int64_t px = first; px < first + tile.pixels(); ++px) {
-      const auto v = p_.cube->pixel(px);
-      assign.data.insert(assign.data.end(), v.begin(), v.end());
-    }
+    data = {p_.cube->pixel(tile.first_flat_index()).data(),
+            static_cast<std::size_t>(tile.pixels() * tile.bands)};
   }
-  sends_.push_back({worker, assign.encode(0), t});
+  sends_.push_back({worker, TileAssignMsg::encode(WireTile::from(tile), data, 0),
+                    t});
   arm(tile_track_[t], now);
 }
 
@@ -138,7 +135,7 @@ std::vector<MergedTile> Coordinator::screen_result(int worker,
       // a worker that lies can already return any members it likes.
       global_->merge(UniqueSet::from_flat(bands_, p_.screening_threshold,
                                           std::move(it->second.vectors)),
-                     &m.comparisons);
+                     &m.comparisons, p_.pool);
       result_.merge_comparisons += m.comparisons;
     } else {
       model_unique_count_ = p_.model_merge(model_unique_count_,

@@ -65,6 +65,9 @@ struct CoordinatorParams {
   /// When set, remote.tile_resends / remote.shard_resends /
   /// remote.deadline_giveups are counted here.
   runtime::MetricsRegistry* metrics = nullptr;
+  /// Full mode: runs each tile's unique-set fold on this pool. The fold's
+  /// members, their order and its comparison count do not depend on it.
+  core::ThreadPool* pool = nullptr;
 };
 
 /// What the coordinator produces; owned by the adapter.

@@ -59,22 +59,35 @@ struct TileAssignMsg {
   std::vector<float> data;  ///< empty in CostOnly mode
 
   [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode(tile, data, declared);
+  }
+  /// Encode from pixels the caller already holds (the coordinator's cube
+  /// rows), so they are copied once, straight into the message bytes.
+  [[nodiscard]] static scp::Message encode(const WireTile& tile,
+                                           std::span<const float> data,
+                                           std::uint64_t declared) {
     Writer w;
+    w.reserve(sizeof(tile) + sizeof(std::uint64_t) + data.size_bytes());
     w.put(tile);
-    w.put_span(std::span<const float>(data));
+    w.put_span(data);
     return {kTileAssign, std::move(w).take(), declared};
   }
   /// Non-aborting decode for payloads off the socket plane: nullopt on a
   /// truncated, corrupt, or oversized body. decode() keeps the aborting
   /// contract for the sim plane, whose payloads never leave the process.
-  static std::optional<TileAssignMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+  /// The span overload reads a payload in place (scp::WireView).
+  static std::optional<TileAssignMsg> try_decode(
+      std::span<const std::uint8_t> payload) {
+    Reader r(payload);
     TileAssignMsg out;
     if (!r.try_get(out.tile) || !r.try_get_vector(out.data) ||
         !r.exhausted()) {
       return std::nullopt;
     }
     return out;
+  }
+  static std::optional<TileAssignMsg> try_decode(const scp::Message& m) {
+    return try_decode(m.payload);
   }
   static TileAssignMsg decode(const scp::Message& m) {
     auto out = try_decode(m);
@@ -123,8 +136,9 @@ struct CovShardMsg {
     w.put_span(std::span<const double>(mean));
     return {kCovShard, std::move(w).take(), declared};
   }
-  static std::optional<CovShardMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+  static std::optional<CovShardMsg> try_decode(
+      std::span<const std::uint8_t> payload) {
+    Reader r(payload);
     CovShardMsg out;
     if (!r.try_get(out.shard_index) || !r.try_get(out.shard_count) ||
         !r.try_get_vector(out.vectors) || !r.try_get_vector(out.mean) ||
@@ -132,6 +146,9 @@ struct CovShardMsg {
       return std::nullopt;
     }
     return out;
+  }
+  static std::optional<CovShardMsg> try_decode(const scp::Message& m) {
+    return try_decode(m.payload);
   }
   static CovShardMsg decode(const scp::Message& m) {
     auto out = try_decode(m);
@@ -181,8 +198,9 @@ struct TransformMsg {
     w.put_span(std::span<const double>(scale_gain));
     return {kTransform, std::move(w).take(), declared};
   }
-  static std::optional<TransformMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+  static std::optional<TransformMsg> try_decode(
+      std::span<const std::uint8_t> payload) {
+    Reader r(payload);
     TransformMsg out;
     if (!r.try_get(out.components) || !r.try_get(out.bands) ||
         !r.try_get_vector(out.matrix) || !r.try_get_vector(out.mean) ||
@@ -191,6 +209,9 @@ struct TransformMsg {
       return std::nullopt;
     }
     return out;
+  }
+  static std::optional<TransformMsg> try_decode(const scp::Message& m) {
+    return try_decode(m.payload);
   }
   static TransformMsg decode(const scp::Message& m) {
     auto out = try_decode(m);

@@ -27,11 +27,12 @@ std::int64_t now_nanos() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) {
+ThreadPool::ThreadPool(int threads)
+    : loop_park_start_(static_cast<std::size_t>(threads), kNotParked) {
   RIF_CHECK(threads >= 1);
   threads_.reserve(threads);
   for (int i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+    threads_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
   }
 }
 
@@ -47,13 +48,15 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_one(std::unique_lock<std::mutex>& lock, bool helping) {
   std::function<void()> task = std::move(queue_.front());
   queue_.pop_front();
+  // Counted before the task runs: its completion releases the caller of
+  // parallel_*, which must find it counted. Metric pointer reads stay
+  // under the pool mutex (like every other site), so bind_metrics can
+  // publish them race-free at any time.
+  if (tasks_metric_ != nullptr) tasks_metric_->add(1);
+  if (helping && helped_metric_ != nullptr) helped_metric_->add(1);
   lock.unlock();
   task();  // task wrappers never throw; errors land in their TaskGroup
   lock.lock();
-  // Metric pointer reads stay under the pool mutex (like every other
-  // site), so bind_metrics can publish them race-free at any time.
-  if (tasks_metric_ != nullptr) tasks_metric_->add(1);
-  if (helping && helped_metric_ != nullptr) helped_metric_->add(1);
 }
 
 void ThreadPool::bind_metrics(runtime::MetricsRegistry& registry,
@@ -76,11 +79,26 @@ void ThreadPool::bind_metrics(runtime::MetricsRegistry& registry,
 
 double ThreadPool::idle_seconds() const {
   std::lock_guard lock(mutex_);
+  const std::int64_t now = now_nanos();
   std::int64_t total = idle_nanos_;
   if (parked_threads_ > 0) {
-    total += parked_threads_ * now_nanos() - park_start_sum_nanos_;
+    total += parked_threads_ * now - park_start_sum_nanos_;
+  }
+  for (const std::int64_t start : loop_park_start_) {
+    if (start != kNotParked) total += now - start;
   }
   return static_cast<double>(total) * 1e-9;
+}
+
+void ThreadPool::end_park(std::size_t slot, std::int64_t now) {
+  std::int64_t& start = loop_park_start_[slot];
+  if (start == kNotParked) return;
+  const std::int64_t parked = now - start;
+  start = kNotParked;
+  idle_nanos_ += parked;
+  if (idle_metric_ != nullptr) {
+    idle_metric_->record(static_cast<double>(parked) * 1e-9);
+  }
 }
 
 double ThreadPool::busy_seconds() const {
@@ -88,24 +106,22 @@ double ThreadPool::busy_seconds() const {
   return static_cast<double>(busy_nanos_) * 1e-9;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t slot) {
   t_owner_pool = this;
   std::unique_lock lock(mutex_);
   for (;;) {
-    if (!stopping_ && queue_.empty()) {
-      const std::int64_t t0 = now_nanos();
-      ++parked_threads_;
-      park_start_sum_nanos_ += t0;
-      if (parks_metric_ != nullptr) parks_metric_->add(1);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      --parked_threads_;
-      park_start_sum_nanos_ -= t0;
-      const std::int64_t parked = now_nanos() - t0;
-      idle_nanos_ += parked;
-      if (idle_metric_ != nullptr) {
-        idle_metric_->record(static_cast<double>(parked) * 1e-9);
+    // The park ends when parallel_tasks hands this thread work, not when
+    // the OS runs it again (a woken thread waiting for a CPU is not idle
+    // capacity). A wake-up that finds the queue drained by another thread
+    // opens a new park.
+    while (!stopping_ && queue_.empty()) {
+      if (loop_park_start_[slot] == kNotParked) {
+        loop_park_start_[slot] = now_nanos();
+        if (parks_metric_ != nullptr) parks_metric_->add(1);
       }
+      cv_.wait(lock);
     }
+    end_park(slot, now_nanos());  // if no hand-out ended it (shutdown)
     if (stopping_ && queue_.empty()) return;
     run_one(lock);
   }
@@ -140,6 +156,16 @@ void ThreadPool::parallel_tasks(int count, const std::function<void(int)>& fn) {
         if (outermost) busy_nanos_ += now_nanos() - t0;
         if (--group.remaining == 0) group.done.notify_all();
       });
+    }
+    // One parked worker per task is woken into work now.
+    const std::int64_t now = now_nanos();
+    int handed = count;
+    for (std::size_t slot = 0; slot < loop_park_start_.size() && handed > 0;
+         ++slot) {
+      if (loop_park_start_[slot] != kNotParked) {
+        end_park(slot, now);
+        --handed;
+      }
     }
   }
   cv_.notify_all();

@@ -76,7 +76,8 @@ class ThreadPool {
   void parallel_tasks(int count, const std::function<void(int)>& fn);
 
   /// Wire the pool into a metrics registry. Creates, under `prefix`:
-  ///   <prefix>tasks_executed  counter — every task run to completion
+  ///   <prefix>tasks_executed  counter — every task run (counted as it
+  ///                           starts, so complete when parallel_* returns)
   ///   <prefix>helped_tasks    counter — the subset executed by a BLOCKED
   ///                           caller inside parallel_* (the
   ///                           help-while-waiting steals)
@@ -100,7 +101,9 @@ class ThreadPool {
     std::condition_variable done;
   };
 
-  void worker_loop();
+  void worker_loop(std::size_t slot);
+  /// End worker `slot`'s park at `now`, if one is open. Under mutex_.
+  void end_park(std::size_t slot, std::int64_t now);
   /// Pop and run the front task. `lock` is held on entry and exit,
   /// released around the task body. `helping` marks execution by a
   /// blocked parallel_* caller rather than the worker loop.
@@ -114,10 +117,14 @@ class ThreadPool {
 
   // Idle bookkeeping (guarded by mutex_, which every park holds at entry
   // and exit): completed parks accumulate into idle_nanos_; in-progress
-  // parks are reconstructed at read time from their count and the sum of
-  // their start stamps (see idle_seconds()).
+  // parks are added at read time (see idle_seconds()). A worker-loop park
+  // is stamped per thread so the thread handing out work can end it; a
+  // helper park inside parallel_* is tracked by count and the sum of its
+  // start stamps.
+  static constexpr std::int64_t kNotParked = -1;
   std::int64_t idle_nanos_ = 0;
-  int parked_threads_ = 0;
+  std::vector<std::int64_t> loop_park_start_;  ///< by worker; or kNotParked
+  int parked_threads_ = 0;  ///< helper parks in progress
   std::int64_t park_start_sum_nanos_ = 0;
   /// Outermost-task execution time (guarded by mutex_; see busy_seconds()).
   std::int64_t busy_nanos_ = 0;

@@ -13,6 +13,7 @@
 // bounds checks on the first frame rather than desyncing the stream.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -26,10 +27,20 @@ inline constexpr std::uint32_t kFrameMagic = 0x52494631;  // "RIF1"
 /// state transfer, small enough that a corrupt length dies immediately.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;  // 1 GiB
 
+/// Bytes of the `[magic][length]` header in front of every payload.
+inline constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
+
 /// Bytes a payload costs on the wire once framed.
 [[nodiscard]] inline std::uint64_t framed_size(std::uint64_t payload_bytes) {
-  return payload_bytes + 2 * sizeof(std::uint32_t);
+  return payload_bytes + kFrameHeaderBytes;
 }
+
+using FrameHeader = std::array<std::uint8_t, kFrameHeaderBytes>;
+
+/// The header that goes in front of a `payload_bytes`-long payload. The
+/// socket paths send it and the payload with one gathered write, so the
+/// payload is never copied into a framed buffer.
+[[nodiscard]] FrameHeader frame_header(std::size_t payload_bytes);
 
 /// Serialize one frame (header + payload) into a contiguous buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
@@ -37,8 +48,10 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;  // 1 GiB
 
 /// Incremental frame reassembler: feed it whatever the socket produced —
 /// one byte or ten frames — and it invokes the sink once per completed
-/// payload. Returns false (and poisons itself) on bad magic or an
-/// oversized length; the connection should then be dropped.
+/// payload. Once a header is read, the payload is assembled in a buffer
+/// sized for it and handed to the sink by move. Returns false (and poisons
+/// itself) on bad magic or an oversized length; the connection should then
+/// be dropped.
 class FrameAssembler {
  public:
   using Sink = std::function<void(std::vector<std::uint8_t> payload)>;
@@ -48,10 +61,15 @@ class FrameAssembler {
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }
   /// Bytes buffered toward the next (incomplete) frame.
-  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  [[nodiscard]] std::size_t pending_bytes() const {
+    return header_bytes_ + payload_.size();
+  }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  FrameHeader header_{};
+  std::size_t header_bytes_ = 0;  ///< bytes of header_ received so far
+  std::uint32_t length_ = 0;      ///< payload length, once header_ is whole
+  std::vector<std::uint8_t> payload_;  ///< the payload being assembled
   bool corrupt_ = false;
 };
 

@@ -5,9 +5,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -91,36 +93,33 @@ void SocketServer::wake() {
   }
 }
 
-bool SocketServer::send(SessionId session,
-                        const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
+bool SocketServer::enqueue(SessionId session,
+                           std::vector<std::uint8_t> payload,
+                           std::optional<std::size_t> max_pending_bytes) {
+  const FrameHeader header = frame_header(payload.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(session);
     if (it == sessions_.end() || it->second.draining) return false;
-    it->second.outbound.insert(it->second.outbound.end(), framed.begin(),
-                               framed.end());
+    Session& s = it->second;
+    if (max_pending_bytes && s.pending > *max_pending_bytes) {
+      return false;  // consumer is behind: drop, never queue further
+    }
+    s.pending += framed_size(payload.size());
+    s.outbound.push_back({header, std::move(payload)});
   }
   wake();
   return true;
 }
 
+bool SocketServer::send(SessionId session, std::vector<std::uint8_t> payload) {
+  return enqueue(session, std::move(payload), std::nullopt);
+}
+
 bool SocketServer::send_limited(SessionId session,
-                                const std::vector<std::uint8_t>& payload,
+                                std::vector<std::uint8_t> payload,
                                 std::size_t max_pending_bytes) {
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(session);
-    if (it == sessions_.end() || it->second.draining) return false;
-    if (it->second.outbound.size() - it->second.sent > max_pending_bytes) {
-      return false;  // consumer is behind: drop, never queue further
-    }
-    it->second.outbound.insert(it->second.outbound.end(), framed.begin(),
-                               framed.end());
-  }
-  wake();
-  return true;
+  return enqueue(session, std::move(payload), max_pending_bytes);
 }
 
 SessionId SocketServer::adopt(int fd) {
@@ -162,19 +161,43 @@ int SocketServer::session_count() const {
 }
 
 bool SocketServer::flush(Session& s) {
-  while (s.sent < s.outbound.size()) {
-    const auto n = ::send(s.fd, s.outbound.data() + s.sent,
-                          s.outbound.size() - s.sent, MSG_NOSIGNAL);
+  while (!s.outbound.empty()) {
+    // Header and payload of as many queued frames as fit, minus what an
+    // earlier partial send already wrote.
+    std::array<iovec, 64> iov{};
+    std::size_t count = 0;
+    std::size_t skip = s.sent;
+    const auto add = [&](const std::uint8_t* p, std::size_t n) {
+      if (skip >= n) {
+        skip -= n;
+        return;
+      }
+      iov[count++] = {const_cast<std::uint8_t*>(p) + skip, n - skip};
+      skip = 0;
+    };
+    for (auto it = s.outbound.begin();
+         it != s.outbound.end() && count + 2 <= iov.size(); ++it) {
+      add(it->header.data(), it->header.size());
+      add(it->payload.data(), it->payload.size());
+    }
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = count;
+    const auto n = ::sendmsg(s.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
+      s.pending -= static_cast<std::size_t>(n);
       s.sent += static_cast<std::size_t>(n);
+      while (!s.outbound.empty() &&
+             s.sent >= framed_size(s.outbound.front().payload.size())) {
+        s.sent -= framed_size(s.outbound.front().payload.size());
+        s.outbound.pop_front();
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
     return false;  // peer gone
   }
-  s.outbound.clear();
-  s.sent = 0;
   return true;
 }
 
@@ -205,7 +228,7 @@ void SocketServer::loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [id, s] : sessions_) {
-        const bool pending = s.sent < s.outbound.size();
+        const bool pending = !s.outbound.empty();
         if (s.abort || (s.draining && !pending)) {
           dead.push_back(id);
           continue;
@@ -359,17 +382,28 @@ bool SocketClient::connect_unix(const std::string& path) {
 
 bool SocketClient::send_frame(const std::vector<std::uint8_t>& payload) {
   if (fd_ < 0) return false;
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const auto n =
-        ::send(fd_, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
+  FrameHeader header = frame_header(payload.size());
+  std::array<iovec, 2> iov{{
+      {header.data(), header.size()},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+  }};
+  std::size_t first = 0;  // iov entries fully sent
+  while (first < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = iov.size() - first;
+    const auto n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
-    return false;
+    if (n <= 0) return false;
+    auto left = static_cast<std::size_t>(n);
+    while (first < iov.size() && left >= iov[first].iov_len) {
+      left -= iov[first].iov_len;
+      ++first;
+    }
+    if (first < iov.size()) {
+      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + left;
+      iov[first].iov_len -= left;
+    }
   }
   return true;
 }
@@ -392,7 +426,7 @@ bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
     return false;  // EOF or error
   }
   payload = std::move(ready_.front());
-  ready_.erase(ready_.begin());
+  ready_.pop_front();
   return true;
 }
 

@@ -19,9 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,15 +58,16 @@ class SocketServer {
   void start(FrameFn on_frame, ClosedFn on_closed);
 
   /// Queue one frame for a session. Thread-safe. False if unknown session.
-  bool send(SessionId session, const std::vector<std::uint8_t>& payload);
+  /// The payload is moved into the queue and written behind its header by
+  /// a gathered send, never copied into a framed buffer.
+  bool send(SessionId session, std::vector<std::uint8_t> payload);
 
   /// send(), but REFUSE (return false, queue nothing) when the session
   /// already has more than `max_pending_bytes` of unsent outbound bytes.
   /// This is the slow-consumer guard for fan-out paths (the ops plane's
   /// subscribe-metrics push): a subscriber that stops reading loses frames
   /// instead of growing the queue or backpressuring the producer.
-  bool send_limited(SessionId session,
-                    const std::vector<std::uint8_t>& payload,
+  bool send_limited(SessionId session, std::vector<std::uint8_t> payload,
                     std::size_t max_pending_bytes);
 
   /// Adopt an already-connected fd (e.g. one end of a socketpair) as a
@@ -89,18 +92,27 @@ class SocketServer {
   [[nodiscard]] int session_count() const;
 
  private:
+  struct Outbound {
+    FrameHeader header;
+    std::vector<std::uint8_t> payload;
+  };
   struct Session {
     int fd = -1;
     FrameAssembler assembler;
-    std::vector<std::uint8_t> outbound;  ///< unsent framed bytes
-    std::size_t sent = 0;                ///< prefix of outbound already sent
-    bool draining = false;               ///< close once outbound empties
-    bool abort = false;                  ///< close now, discard outbound
+    std::deque<Outbound> outbound;  ///< queued frames, oldest first
+    std::size_t sent = 0;           ///< bytes of outbound.front() sent
+    std::size_t pending = 0;        ///< unsent bytes across outbound
+    bool draining = false;          ///< close once outbound empties
+    bool abort = false;             ///< close now, discard outbound
   };
 
   void loop();
   void wake();
   void destroy_session(SessionId id);
+  /// Queue a frame unless the session is gone, draining, or (with a limit)
+  /// already holds more than `max_pending_bytes` unsent.
+  bool enqueue(SessionId session, std::vector<std::uint8_t> payload,
+               std::optional<std::size_t> max_pending_bytes);
   [[nodiscard]] bool flush(Session& s);
 
   mutable std::mutex mu_;
@@ -130,7 +142,8 @@ class SocketClient {
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
-  /// Frame and send one payload; handles partial writes. False on error.
+  /// Frame and send one payload with a gathered write (no framed copy);
+  /// handles partial writes. False on error.
   [[nodiscard]] bool send_frame(const std::vector<std::uint8_t>& payload);
 
   /// Block until one full frame arrives. False on EOF/error/corruption.
@@ -141,7 +154,7 @@ class SocketClient {
  private:
   int fd_ = -1;
   FrameAssembler assembler_;
-  std::vector<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
+  std::deque<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
 };
 
 }  // namespace rif::net

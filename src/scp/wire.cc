@@ -3,11 +3,27 @@
 #include <cstring>
 #include <span>
 
+#include "support/crc32c.h"
 #include "support/serialize.h"
 
 namespace rif::scp {
 
 namespace {
+
+constexpr std::size_t kAddrBytes =
+    sizeof(ThreadId) + sizeof(std::int32_t) + sizeof(std::uint64_t);
+/// Everything before the payload has a constant size.
+constexpr std::size_t kFixedBytes =
+    sizeof(std::uint32_t) +        // kind
+    2 * sizeof(cluster::NodeId) +  // src_node, dst_node
+    2 * kAddrBytes +               // src, dst
+    sizeof(std::uint64_t) +        // seq
+    sizeof(std::uint32_t) +        // msg_type
+    sizeof(std::uint64_t) +        // declared
+    sizeof(std::uint32_t) +        // flag
+    sizeof(std::uint64_t);         // payload length prefix
+/// CRC32C in the low 32 bits; the high 32 must be zero.
+constexpr std::size_t kTrailerBytes = sizeof(std::uint64_t);
 
 void put_addr(Writer& w, const WireAddr& a) {
   w.put(a.tid);
@@ -23,23 +39,46 @@ WireAddr get_addr(Reader& r) {
   return a;
 }
 
-/// FNV-1a over everything before the trailer. Not cryptographic — it exists
-/// to catch CORRUPTION (bit rot, a chaos-injected byte flip, a buggy
-/// middlebox), so a frame whose payload was damaged in flight is rejected
-/// as malformed instead of feeding garbage floats into a merge.
-std::uint64_t envelope_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+/// Checks the layout and the checksum once and fills `v`. Returns nullptr
+/// on success, else what is wrong with the bytes. The checksum catches
+/// CORRUPTION (bit rot, a chaos-injected byte flip, a buggy middlebox), not
+/// forgery: it is not cryptographic.
+const char* parse(std::span<const std::uint8_t> bytes, WireView& v) {
+  if (bytes.size() < kFixedBytes + kTrailerBytes) return "truncated envelope";
+  // The size check above makes every header read in bounds.
+  Reader r(bytes.first(kFixedBytes));
+  const auto kind = r.get<std::uint32_t>();
+  if (kind < static_cast<std::uint32_t>(FrameKind::kApp) ||
+      kind > static_cast<std::uint32_t>(FrameKind::kTelemetry)) {
+    return "unknown frame kind";
   }
-  return h;
+  v.kind = static_cast<FrameKind>(kind);
+  v.src_node = r.get<cluster::NodeId>();
+  v.dst_node = r.get<cluster::NodeId>();
+  v.src = get_addr(r);
+  v.dst = get_addr(r);
+  v.seq = r.get<std::uint64_t>();
+  v.msg_type = r.get<std::uint32_t>();
+  v.declared = r.get<std::uint64_t>();
+  v.flag = r.get<std::uint32_t>();
+  const auto payload_len = r.get<std::uint64_t>();
+  const std::size_t room = bytes.size() - kFixedBytes - kTrailerBytes;
+  if (payload_len > room) return "truncated envelope";
+  if (payload_len < room) return "oversized envelope";
+  std::uint64_t sum = 0;
+  std::memcpy(&sum, bytes.data() + bytes.size() - kTrailerBytes, sizeof(sum));
+  if (sum != crc32c::value(bytes.data(), bytes.size() - kTrailerBytes)) {
+    return "corrupt envelope";
+  }
+  v.payload = bytes.subspan(kFixedBytes, room);
+  return nullptr;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> WireEnvelope::encode() const {
   Writer w;
+  w.reserve(kFixedBytes + payload.size() + kTrailerBytes);
   w.put(static_cast<std::uint32_t>(kind));
   w.put(src_node);
   w.put(dst_node);
@@ -51,83 +90,52 @@ std::vector<std::uint8_t> WireEnvelope::encode() const {
   w.put(flag);
   w.put_span(std::span<const std::uint8_t>(payload));
   auto bytes = std::move(w).take();
-  const std::uint64_t sum = envelope_checksum(bytes.data(), bytes.size());
+  const std::uint64_t sum = crc32c::value(bytes.data(), bytes.size());
   const auto* p = reinterpret_cast<const std::uint8_t*>(&sum);
   bytes.insert(bytes.end(), p, p + sizeof(sum));
   return bytes;
 }
 
-std::optional<WireEnvelope> WireEnvelope::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
-  // Mirror of decode()'s fixed layout: everything before the payload has a
-  // constant size, and the payload's length prefix must account for exactly
-  // the bytes that remain before the checksum trailer. Verifying that up
-  // front — plus the checksum itself — makes decode() safe.
-  constexpr std::size_t kAddrBytes =
-      sizeof(ThreadId) + sizeof(std::int32_t) + sizeof(std::uint64_t);
-  constexpr std::size_t kFixedBytes =
-      sizeof(std::uint32_t) +             // kind
-      2 * sizeof(cluster::NodeId) +       // src_node, dst_node
-      2 * kAddrBytes +                    // src, dst
-      sizeof(std::uint64_t) +             // seq
-      sizeof(std::uint32_t) +             // msg_type
-      sizeof(std::uint64_t) +             // declared
-      sizeof(std::uint32_t) +             // flag
-      sizeof(std::uint64_t);              // payload length prefix
-  constexpr std::size_t kTrailerBytes = sizeof(std::uint64_t);  // checksum
-  if (bytes.size() < kFixedBytes + kTrailerBytes) return std::nullopt;
-
-  std::uint32_t kind = 0;
-  std::memcpy(&kind, bytes.data(), sizeof(kind));
-  if (kind < static_cast<std::uint32_t>(FrameKind::kApp) ||
-      kind > static_cast<std::uint32_t>(FrameKind::kTelemetry)) {
-    return std::nullopt;
-  }
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len,
-              bytes.data() + kFixedBytes - sizeof(payload_len),
-              sizeof(payload_len));
-  if (payload_len != bytes.size() - kFixedBytes - kTrailerBytes) {
-    return std::nullopt;
-  }
-  std::uint64_t sum = 0;
-  std::memcpy(&sum, bytes.data() + bytes.size() - kTrailerBytes,
-              sizeof(sum));
-  if (sum != envelope_checksum(bytes.data(), bytes.size() - kTrailerBytes)) {
-    return std::nullopt;
-  }
-  return decode(bytes);
+std::optional<WireView> WireView::try_decode(
+    std::span<const std::uint8_t> bytes) {
+  WireView v;
+  if (parse(bytes, v) != nullptr) return std::nullopt;
+  return v;
 }
 
-WireEnvelope WireEnvelope::decode(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
+WireEnvelope WireView::to_envelope() const {
   WireEnvelope e;
-  const auto kind = r.get<std::uint32_t>();
-  RIF_CHECK_MSG(kind >= static_cast<std::uint32_t>(FrameKind::kApp) &&
-                    kind <= static_cast<std::uint32_t>(FrameKind::kTelemetry),
-                "unknown frame kind");
-  e.kind = static_cast<FrameKind>(kind);
-  e.src_node = r.get<cluster::NodeId>();
-  e.dst_node = r.get<cluster::NodeId>();
-  e.src = get_addr(r);
-  e.dst = get_addr(r);
-  e.seq = r.get<std::uint64_t>();
-  e.msg_type = r.get<std::uint32_t>();
-  e.declared = r.get<std::uint64_t>();
-  e.flag = r.get<std::uint32_t>();
-  e.payload = r.get_vector<std::uint8_t>();
-  const auto sum = r.get<std::uint64_t>();
-  RIF_CHECK_MSG(r.exhausted(), "oversized envelope");
-  RIF_CHECK_MSG(sum == envelope_checksum(bytes.data(),
-                                         bytes.size() - sizeof(sum)),
-                "corrupt envelope");
+  static_cast<WireHeader&>(e) = *this;
+  e.payload.assign(payload.begin(), payload.end());
   return e;
+}
+
+std::optional<WireEnvelope> WireEnvelope::try_decode(
+    std::span<const std::uint8_t> bytes) {
+  const auto v = WireView::try_decode(bytes);
+  if (!v) return std::nullopt;
+  return v->to_envelope();
+}
+
+WireEnvelope WireEnvelope::decode(std::span<const std::uint8_t> bytes) {
+  WireView v;
+  const char* error = parse(bytes, v);
+  RIF_CHECK_MSG(error == nullptr, error);
+  return v.to_envelope();
 }
 
 std::vector<std::uint8_t> HelloBody::encode() const {
   Writer w;
   w.put(protocol_version);
   return std::move(w).take();
+}
+
+std::optional<HelloBody> HelloBody::try_decode(
+    std::span<const std::uint8_t> bytes) {
+  Reader r(bytes);
+  HelloBody b;
+  if (!r.try_get(b.protocol_version) || !r.exhausted()) return std::nullopt;
+  return b;
 }
 
 std::vector<std::uint8_t> JobStartBody::encode() const {
@@ -141,14 +149,14 @@ std::vector<std::uint8_t> JobStartBody::encode() const {
   return std::move(w).take();
 }
 
-JobStartBody JobStartBody::decode(const std::vector<std::uint8_t>& bytes) {
+JobStartBody JobStartBody::decode(std::span<const std::uint8_t> bytes) {
   auto b = try_decode(bytes);
   RIF_CHECK_MSG(b.has_value(), "malformed job start");
   return *b;
 }
 
 std::optional<JobStartBody> JobStartBody::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   JobStartBody b;
   if (!r.try_get(b.job_id) || !r.try_get(b.width) || !r.try_get(b.height) ||
@@ -243,7 +251,7 @@ std::vector<std::uint8_t> TelemetryBody::encode() const {
 }
 
 std::optional<TelemetryBody> TelemetryBody::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   TelemetryBody b;
   if (!r.try_get(b.job_id) || !r.try_get(b.flush_index)) return std::nullopt;

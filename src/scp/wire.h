@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -56,12 +57,9 @@ struct WireAddr {
   std::uint64_t incarnation = 0;
 };
 
-/// The one envelope every transport hop uses. Only the fields a kind needs
-/// are populated; encode() writes them all (fixed layout keeps the decoder
-/// trivial and the header cost constant) and appends an FNV-1a checksum
-/// trailer, so a frame corrupted in flight — any byte, header or payload —
-/// is rejected at decode instead of smuggling garbage into a merge.
-struct WireEnvelope {
+/// Every field of an envelope but its payload. encode() writes them all
+/// (fixed layout keeps the decoder trivial and the header cost constant).
+struct WireHeader {
   FrameKind kind = FrameKind::kApp;
   cluster::NodeId src_node = cluster::kNoNode;
   cluster::NodeId dst_node = cluster::kNoNode;
@@ -74,6 +72,33 @@ struct WireEnvelope {
   std::uint32_t msg_type = 0;   ///< kApp: application MsgType
   std::uint64_t declared = 0;   ///< kApp: Message::declared_bytes
   std::uint32_t flag = 0;       ///< kStateInstall: 1 = migration semantics
+};
+
+struct WireEnvelope;
+
+/// A validated envelope read in place: the header fields, and the payload
+/// as a view into the bytes it was decoded from (which must outlive it).
+/// The receive path of the worker plane decodes its messages straight out
+/// of the frame this way, without copying the payload first.
+struct WireView : WireHeader {
+  std::span<const std::uint8_t> payload;
+
+  /// The one envelope decoder: checks the layout and the checksum once.
+  /// nullopt on any malformed input (truncated, trailing bytes, unknown
+  /// kind, checksum mismatch).
+  static std::optional<WireView> try_decode(
+      std::span<const std::uint8_t> bytes);
+
+  /// Copy into an envelope that owns its payload.
+  [[nodiscard]] WireEnvelope to_envelope() const;
+};
+
+/// The one envelope every transport hop uses. Only the fields a kind needs
+/// are populated. encode() appends an 8-byte trailer holding the CRC32C
+/// (support/crc32c.h) of everything before it in its low 32 bits, so a
+/// frame corrupted in flight — any byte, header, payload or trailer — is
+/// rejected at decode instead of smuggling garbage into a merge.
+struct WireEnvelope : WireHeader {
   std::vector<std::uint8_t> payload;  ///< kApp: message body; kStateInstall:
                                       ///< serialized state; worker plane:
                                       ///< kind-specific body
@@ -81,27 +106,40 @@ struct WireEnvelope {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// Trusted-path decode: malformed bytes indicate a bug on our side and
-  /// trip a fatal RIF_CHECK. Use only on frames this process produced
-  /// (the sim transport, loopback to our own worker binary under test).
-  static WireEnvelope decode(const std::vector<std::uint8_t>& bytes);
+  /// trip a fatal RIF_CHECK naming the malformation. Use only on frames
+  /// this process produced (the sim transport, loopback to our own worker
+  /// binary under test).
+  static WireEnvelope decode(std::span<const std::uint8_t> bytes);
 
   /// Trust-boundary decode: returns nullopt on any malformed input
-  /// (truncated, trailing bytes, unknown kind) instead of aborting. Use on
-  /// every frame that arrives over a socket from a peer process.
+  /// (truncated, trailing bytes, unknown kind, checksum mismatch) instead
+  /// of aborting. Use on every frame that arrives over a socket from a
+  /// peer process.
   static std::optional<WireEnvelope> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 
-  /// Rebuild the application Message carried by a kApp envelope.
-  [[nodiscard]] Message to_message() const {
+  /// Rebuild the application Message carried by a kApp envelope; the
+  /// rvalue overload moves the payload instead of copying it.
+  [[nodiscard]] Message to_message() const& {
     return {msg_type, payload, declared};
+  }
+  [[nodiscard]] Message to_message() && {
+    return {msg_type, std::move(payload), declared};
   }
 };
 
+/// Version a worker announces in its kHello; the pool refuses any other.
+/// Version 2 introduced the CRC32C trailer.
+inline constexpr std::uint32_t kProtocolVersion = 2;
+
 /// kHello payload: what a connecting worker advertises.
 struct HelloBody {
-  std::uint32_t protocol_version = 1;
+  std::uint32_t protocol_version = kProtocolVersion;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// Non-aborting decode: nullopt unless exactly one version word.
+  static std::optional<HelloBody> try_decode(
+      std::span<const std::uint8_t> bytes);
 };
 
 /// kJobStart payload: everything a worker needs before tiles arrive.
@@ -114,10 +152,10 @@ struct JobStartBody {
   std::int32_t output_components = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static JobStartBody decode(const std::vector<std::uint8_t>& bytes);
+  static JobStartBody decode(std::span<const std::uint8_t> bytes);
   /// Non-aborting decode for bodies off the socket plane.
   static std::optional<JobStartBody> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 };
 
 /// One span event shipped in a kTelemetry batch. Names travel as strings —
@@ -199,7 +237,7 @@ struct TelemetryBody {
   /// and message lengths, phase and level alphabets, bucket counts).
   /// nullopt = drop the batch.
   static std::optional<TelemetryBody> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 };
 
 }  // namespace rif::scp

@@ -33,6 +33,7 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
   cp.resend_limit = p.resend_limit;
   cp.resend_backoff = p.resend_backoff;
   cp.metrics = p.metrics;
+  cp.pool = p.pool;
   RemoteExecResult out;
   core::distributed::Coordinator c(cp, live, out);
 
@@ -103,7 +104,7 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
         ev->env.seq != static_cast<std::uint64_t>(p.job_id)) {
       continue;
     }
-    const scp::Message msg = ev->env.to_message();
+    const scp::Message msg = std::move(ev->env).to_message();
     switch (msg.type) {
       case core::kRequestWork:
         c.request_work(ev->worker, at);

@@ -52,6 +52,9 @@ struct RemoteExecParams {
   /// When set, resend/giveup counters are published here
   /// (remote.tile_resends / remote.shard_resends / remote.deadline_giveups).
   runtime::MetricsRegistry* metrics = nullptr;
+  /// Runs the coordinator's unique-set fold (Coordinator::screen_result)
+  /// in parallel; the result does not depend on it.
+  core::ThreadPool* pool = nullptr;
 };
 
 /// The coordinator's result; `completed` false means the caller falls back

@@ -667,6 +667,8 @@ bool FusionService::execute_remote(PendingJob& job) {
   params.resend_limit = config_.remote_resend_limit;
   params.resend_backoff = config_.remote_resend_backoff;
   params.metrics = &metrics_;
+  // Remote jobs run before the host waves, so the host pool is idle here.
+  params.pool = exec_pool_.get();
   RemoteExecResult r = execute_remote_job(*remote_pool_, workers, params);
   job.record.remote_disconnects += r.worker_disconnects;
   if (!r.completed) {

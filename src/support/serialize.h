@@ -52,6 +52,9 @@ class Writer {
     put_span(std::span<const T>(v));
   }
 
+  /// Size the buffer once when the final length is known up front.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
@@ -59,10 +62,11 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Sequential decoder over a byte buffer produced by Writer.
+/// Sequential decoder over a byte buffer produced by Writer. Reads in
+/// place: the bytes must outlive the Reader.
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -129,7 +133,7 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
 
  private:
-  const std::vector<std::uint8_t>& buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
 };
 

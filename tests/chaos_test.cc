@@ -281,7 +281,7 @@ TEST(WireFaultTest, TruncatedFrameIsMalformedAndClosesSession) {
 }
 
 TEST(WireFaultTest, CorruptedFrameFailsTheChecksumAndClosesSession) {
-  // A single flipped byte anywhere in the envelope breaks the FNV-1a
+  // A single flipped byte anywhere in the envelope breaks the CRC32C
   // trailer, so corruption surfaces as a malformed frame — never as
   // garbage floats inside a merge.
   FaultRig rig({{{1, 0, WireDirection::kInbound, WireFault::kCorrupt,
@@ -290,6 +290,35 @@ TEST(WireFaultTest, CorruptedFrameFailsTheChecksumAndClosesSession) {
   EXPECT_TRUE(rig.saw_close());
   EXPECT_EQ(rig.metrics.counter_value("remote.malformed"), 1u);
   EXPECT_EQ(rig.metrics.counter_value("remote.faults.corrupt"), 1u);
+}
+
+TEST(WireFaultTest, HelloOfAnotherProtocolVersionIsRefusedWithoutALease) {
+  // A worker built for another protocol version (version 1 carried a
+  // different checksum) would fail every frame after the handshake: the
+  // pool closes it at the kHello, before leasing it a node.
+  for (const std::vector<std::uint8_t>& body :
+       {scp::HelloBody{1}.encode(), std::vector<std::uint8_t>{}}) {
+    RemoteWorkerPool pool;
+    runtime::MetricsRegistry metrics;
+    pool.bind_metrics(metrics);
+    pool.start(/*first_node_id=*/100);
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    pool.adopt_fd(sv[0]);
+    net::SocketClient client;
+    client.adopt(sv[1]);
+    scp::WireEnvelope hello;
+    hello.kind = scp::FrameKind::kHello;
+    hello.payload = body;
+    ASSERT_TRUE(client.send_frame(hello.encode()));
+    std::vector<std::uint8_t> reply;
+    EXPECT_FALSE(client.read_frame(reply));  // closed: no kWelcome
+    EXPECT_EQ(pool.worker_count(), 0);
+    EXPECT_EQ(metrics.counter_value("remote.version_mismatch"), 1u);
+    EXPECT_EQ(metrics.counter_value("remote.malformed"), 0u);
+    client.close();
+    pool.stop();
+  }
 }
 
 TEST(WireFaultTest, KillClosesTheSessionImmediately) {

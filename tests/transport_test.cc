@@ -1,8 +1,9 @@
-// The real byte transport, bottom-up: frame codec round-trips, incremental
-// reassembly from arbitrary read() fragments, corruption poisoning, the
-// wire envelope and worker-plane body codecs (including truncated/oversized
-// death checks), and a live SocketServer/SocketClient exchange over
-// loopback TCP and a socketpair.
+// The real byte transport, bottom-up: the CRC32C checksum on every path
+// this host has, frame codec round-trips, incremental reassembly from
+// arbitrary read() fragments, corruption poisoning, the wire envelope and
+// worker-plane body codecs (including truncated/oversized death checks and
+// every single-byte and single-bit flip), and a live
+// SocketServer/SocketClient exchange over loopback TCP and a socketpair.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -18,6 +19,8 @@
 #include "net/frame.h"
 #include "net/socket_transport.h"
 #include "scp/wire.h"
+#include "support/crc32c.h"
+#include "support/rng.h"
 
 namespace rif::net {
 namespace {
@@ -26,6 +29,35 @@ std::vector<std::uint8_t> bytes_of(std::initializer_list<int> v) {
   std::vector<std::uint8_t> out;
   for (int b : v) out.push_back(static_cast<std::uint8_t>(b));
   return out;
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+TEST(Crc32cTest, CheckValueOnEveryPath) {
+  // The standard CRC-32C check value (RFC 3720 / the Castagnoli catalogue).
+  const auto* digits = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(crc32c::portable(digits, 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::value(digits, 9), 0xE3069283u);
+  if (crc32c::hardware_available()) {
+    EXPECT_EQ(crc32c::hardware(digits, 9), 0xE3069283u);
+  }
+  EXPECT_EQ(crc32c::portable(digits, 0), 0u);
+}
+
+TEST(Crc32cTest, HardwareEqualsPortable) {
+  if (!crc32c::hardware_available()) {
+    GTEST_SKIP() << "no CRC32C instruction on this host";
+  }
+  Rng rng(2024);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      ASSERT_EQ(crc32c::hardware(buf.data() + offset, n),
+                crc32c::portable(buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 // --- Frame codec ------------------------------------------------------------
@@ -224,6 +256,80 @@ TEST(WireEnvelopeTest, TryDecodeRejectsMalformedWithoutDying) {
       scp::WireEnvelope::try_decode(bytes_of({1, 0, 0, 0})).has_value());
 }
 
+void expect_same(const scp::WireEnvelope& a, const scp::WireEnvelope& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.src_node, b.src_node);
+  EXPECT_EQ(a.dst_node, b.dst_node);
+  EXPECT_EQ(a.src.tid, b.src.tid);
+  EXPECT_EQ(a.src.slot, b.src.slot);
+  EXPECT_EQ(a.src.incarnation, b.src.incarnation);
+  EXPECT_EQ(a.dst.tid, b.dst.tid);
+  EXPECT_EQ(a.dst.slot, b.dst.slot);
+  EXPECT_EQ(a.dst.incarnation, b.dst.incarnation);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.msg_type, b.msg_type);
+  EXPECT_EQ(a.declared, b.declared);
+  EXPECT_EQ(a.flag, b.flag);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+TEST(WireEnvelopeTest, TryDecodeInvertsEncodeForEveryKind) {
+  for (auto k = static_cast<std::uint32_t>(scp::FrameKind::kApp);
+       k <= static_cast<std::uint32_t>(scp::FrameKind::kTelemetry); ++k) {
+    scp::WireEnvelope env;
+    env.kind = static_cast<scp::FrameKind>(k);
+    env.src_node = static_cast<cluster::NodeId>(k);
+    env.dst_node = 9;
+    env.src = {static_cast<scp::ThreadId>(k), 3, 5 + k};
+    env.dst = {2, 1, 8};
+    env.seq = 1000 + k;
+    env.msg_type = k * 7;
+    env.declared = k * 1000003ull;
+    env.flag = k % 2;
+    env.payload.assign(k * 5, static_cast<std::uint8_t>(k));
+    const auto wire = env.encode();
+    const auto back = scp::WireEnvelope::try_decode(wire);
+    ASSERT_TRUE(back.has_value()) << "kind " << k;
+    expect_same(*back, env);
+
+    // The in-place view reads the same fields and points into `wire`.
+    const auto view = scp::WireView::try_decode(wire);
+    ASSERT_TRUE(view.has_value());
+    expect_same(view->to_envelope(), env);
+    if (!env.payload.empty()) {
+      EXPECT_GE(view->payload.data(), wire.data());
+      EXPECT_LE(view->payload.data() + view->payload.size(),
+                wire.data() + wire.size());
+    }
+  }
+}
+
+TEST(WireEnvelopeTest, EverySingleByteOrBitFlipIsRejected) {
+  scp::WireEnvelope env;
+  env.kind = scp::FrameKind::kApp;
+  env.src_node = 4;
+  env.seq = 77;
+  env.msg_type = 2;
+  env.payload.resize(1024);
+  for (std::size_t i = 0; i < env.payload.size(); ++i) {
+    env.payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const auto wire = env.encode();
+  ASSERT_TRUE(scp::WireEnvelope::try_decode(wire).has_value());
+  // Header, payload and trailer alike: the trailer's unused high half must
+  // stay zero, so a flip there is caught too.
+  auto damaged = wire;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    damaged[i] ^= 0xFF;
+    ASSERT_FALSE(scp::WireEnvelope::try_decode(damaged).has_value())
+        << "byte flip at " << i;
+    damaged[i] = wire[i] ^ static_cast<std::uint8_t>(1u << (i % 8));
+    ASSERT_FALSE(scp::WireEnvelope::try_decode(damaged).has_value())
+        << "bit flip at " << i;
+    damaged[i] = wire[i];
+  }
+}
+
 TEST(WireEnvelopeTest, WorkerPlaneBodiesRoundTripAndBoundsCheck) {
   scp::JobStartBody job;
   job.job_id = 42;
@@ -244,6 +350,14 @@ TEST(WireEnvelopeTest, WorkerPlaneBodiesRoundTripAndBoundsCheck) {
   auto long_job = job.encode();
   long_job.push_back(0);
   EXPECT_DEATH((void)scp::JobStartBody::decode(long_job), "malformed");
+
+  const auto hello = scp::HelloBody::try_decode(scp::HelloBody{}.encode());
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->protocol_version, scp::kProtocolVersion);
+  EXPECT_FALSE(scp::HelloBody::try_decode({}).has_value());
+  auto long_hello = scp::HelloBody{}.encode();
+  long_hello.push_back(0);
+  EXPECT_FALSE(scp::HelloBody::try_decode(long_hello).has_value());
 }
 
 // --- Live sockets -----------------------------------------------------------
@@ -351,6 +465,44 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
   EXPECT_EQ(got, big);
   EXPECT_FALSE(client.read_frame(got));  // EOF after the drain
 
+  ASSERT_TRUE(log.wait_closed(1));
+  client.close();
+  server.stop();
+}
+
+TEST(SocketTest, QueuedFramesLeaveInOrderThroughGatheredSends) {
+  // More frames than one gathered send carries, queued before the poll
+  // thread flushes any of them, with sizes that force partial sends.
+  SocketServer server;
+  ServerLog log;
+  server.start([&](SessionId s, std::vector<std::uint8_t> f) {
+                 log.on_frame(s, std::move(f));
+               },
+               [&](SessionId s) { log.on_closed(s); });
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const SessionId session = server.adopt(sv[0]);
+  SocketClient client;
+  client.adopt(sv[1]);
+
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (int i = 0; i < 100; ++i) {
+    std::vector<std::uint8_t> payload(
+        static_cast<std::size_t>(i % 10 == 0 ? 300000 : i * 13));
+    for (std::size_t j = 0; j < payload.size(); ++j) {
+      payload[j] = static_cast<std::uint8_t>(i + j * 7);
+    }
+    sent.push_back(payload);
+    ASSERT_TRUE(server.send(session, std::move(payload)));
+  }
+  server.close_session(session);
+  for (const auto& expected : sent) {
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(client.read_frame(got));
+    ASSERT_EQ(got, expected);
+  }
+  std::vector<std::uint8_t> got;
+  EXPECT_FALSE(client.read_frame(got));  // EOF once the queue drained
   ASSERT_TRUE(log.wait_closed(1));
   client.close();
   server.stop();
